@@ -37,7 +37,6 @@ use std::time::Instant;
 
 use icesat_atl03::Beam;
 use icesat_geo::{BoundingBox, GeoPoint, MapPoint, EPSG_3976};
-use icesat_scene::SurfaceClass;
 use rayon::prelude::*;
 use seaice::artifact::Artifact;
 use seaice::fleet::BeamProducts;
@@ -50,7 +49,7 @@ use sparklite::StageReport;
 
 use crate::cache::{CacheStats, TileCache, TileKey};
 use crate::grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
-use crate::tile::{CatalogManifest, CellAggregate, LayerLedger, SampleRecord, Tile};
+use crate::tile::{CatalogManifest, CellAggregate, LayerLedger, LayerPartial, SampleRecord, Tile};
 use crate::CatalogError;
 use seaice::artifact::{ArtifactError, Codec, Reader, Writer};
 
@@ -195,9 +194,11 @@ impl IngestReport {
 
 /// Deterministic summary of the samples matched by a query.
 ///
-/// All floating-point reductions run tile-key order → canonical sample
-/// order, so two catalogs holding the same products return bit-identical
-/// summaries regardless of ingest order.
+/// All floating-point reductions run in the fixed order of the
+/// [`TilePartial`] fold (samples canonical within a layer, layers
+/// chronological within a tile, tiles by id), so two catalogs holding
+/// the same products return bit-identical summaries regardless of
+/// ingest order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuerySummary {
     /// Samples matched.
@@ -235,14 +236,23 @@ pub struct QuerySummary {
 /// Per-tile partial reduction of a summary query — the unit the serve
 /// path ships and merges.
 ///
-/// A [`QuerySummary`] is defined as a deterministic two-level fold:
-/// every tile reduces its matched samples (layers in chronological
-/// order, samples in canonical order) into one `TilePartial`, and the
-/// partials — sorted by tile id — fold left-to-right into the summary
-/// ([`QuerySummary::from_partials`]). Because the fold is the *same
-/// code* locally and in the client-side shard router, a query fanned
-/// out over shard servers that partition the tiles returns bit-identical
-/// results to the single-process answer.
+/// A [`QuerySummary`] is defined as a deterministic three-level fold
+/// (`docs/PROTOCOL.md` §3.4):
+///
+/// 1. each temporal layer of a tile reduces its matched samples, in
+///    canonical order, into layer moments starting from zero;
+/// 2. the tile's layer moments add in chronological order into one
+///    `TilePartial`, whose `n_cells` counts the union of the layers'
+///    matched cells;
+/// 3. the partials — sorted by tile id — fold left-to-right into the
+///    summary ([`QuerySummary::from_partials`]).
+///
+/// Level 1 is what lets the engine cache a whole-layer partial with
+/// every tile and scan only the layers a query region cuts through.
+/// Levels 1–2 run only on the server that owns the tile; level 3 is the
+/// *same code* locally and in the client-side shard router, so a query
+/// fanned out over shard servers that partition the tiles returns
+/// bit-identical results to the single-process answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TilePartial {
     /// The tile this partial reduces.
@@ -254,8 +264,9 @@ pub struct TilePartial {
     pub class_counts: [u64; 3],
     /// Matched ice (thick + thin) samples.
     pub n_ice: u64,
-    /// Sum of matched ice freeboard, metres (layers chronological,
-    /// samples canonical — the reduction order contract).
+    /// Sum of matched ice freeboard, metres: per-layer sums over
+    /// canonically ordered samples, added chronologically — the
+    /// reduction order contract.
     pub ice_sum_m: f64,
     /// Minimum freeboard over matched samples.
     pub min_freeboard_m: f64,
@@ -273,6 +284,45 @@ pub struct TilePartial {
     pub t_w_sum: f64,
     /// Inverse-variance-weighted thickness sum `Σ Tᵢ/σᵢ²`.
     pub t_wt_sum: f64,
+}
+
+impl TilePartial {
+    /// The partial of `tile` matching nothing — where each level of
+    /// the fold starts.
+    pub(crate) fn empty(tile: TileId) -> TilePartial {
+        TilePartial {
+            tile,
+            n_samples: 0,
+            class_counts: [0; 3],
+            n_ice: 0,
+            ice_sum_m: 0.0,
+            min_freeboard_m: f64::INFINITY,
+            max_freeboard_m: f64::NEG_INFINITY,
+            n_cells: 0,
+            t_n: 0,
+            t_sum_m: 0.0,
+            t_w_sum: 0.0,
+            t_wt_sum: 0.0,
+        }
+    }
+
+    /// Adds the next layer's moments (level 2 of the fold: layers in
+    /// chronological order). `n_cells` is left to the caller, which
+    /// unions the layers' cell bitmaps.
+    fn absorb(&mut self, layer: &TilePartial) {
+        self.n_samples += layer.n_samples;
+        for (mine, theirs) in self.class_counts.iter_mut().zip(&layer.class_counts) {
+            *mine += *theirs;
+        }
+        self.n_ice += layer.n_ice;
+        self.ice_sum_m += layer.ice_sum_m;
+        self.min_freeboard_m = self.min_freeboard_m.min(layer.min_freeboard_m);
+        self.max_freeboard_m = self.max_freeboard_m.max(layer.max_freeboard_m);
+        self.t_n += layer.t_n;
+        self.t_sum_m += layer.t_sum_m;
+        self.t_w_sum += layer.t_w_sum;
+        self.t_wt_sum += layer.t_wt_sum;
+    }
 }
 
 impl Codec for TilePartial {
@@ -1361,9 +1411,10 @@ impl Catalog {
     ) -> Result<Vec<TilePartial>, CatalogError> {
         let mut candidates = self.grid.tiles_overlapping(rect);
         candidates.sort_unstable();
-        self.partials(self.keys_in(time, Some(&candidates), scope), |s| {
-            rect.contains(MapPoint::new(s.x_m, s.y_m))
-        })
+        self.partials(
+            self.keys_in(time, Some(&candidates), scope),
+            Region::Rect(rect),
+        )
     }
 
     /// Summary of every sample inside a geographic bounding box within
@@ -1392,9 +1443,10 @@ impl Catalog {
         let cover = self.grid.bbox_cover(bbox);
         let mut candidates = self.grid.tiles_overlapping(&cover);
         candidates.sort_unstable();
-        self.partials(self.keys_in(time, Some(&candidates), scope), |s| {
-            bbox.contains(GeoPoint::new(s.lat, s.lon))
-        })
+        self.partials(
+            self.keys_in(time, Some(&candidates), scope),
+            Region::Bbox(bbox),
+        )
     }
 
     /// The aggregated cell under a geographic point, `None` when the
@@ -1470,7 +1522,7 @@ impl Catalog {
          -> Result<(), CatalogError> {
             if let Some(first) = run.first() {
                 let time = first.time;
-                let partials = self.partials(std::mem::take(run), |_| true)?;
+                let partials = self.partials(std::mem::take(run), Region::All)?;
                 out.push((time, partials));
             }
             Ok(())
@@ -1604,70 +1656,146 @@ impl Catalog {
         Ok(checked)
     }
 
-    /// Deterministic per-tile reduction over the matched samples of
-    /// `keys`: each tile folds its layers chronologically and its
-    /// samples canonically into one [`TilePartial`], emitted in tile-id
-    /// order. [`QuerySummary::from_partials`] defines the final fold —
+    /// Deterministic per-tile reduction over the samples of `keys` that
+    /// fall in `region`, emitted in tile-id order: levels 1–2 of the
+    /// [`TilePartial`] fold. [`QuerySummary::from_partials`] is level 3 —
     /// shared verbatim with the shard router so distributed answers are
     /// bit-identical.
+    ///
+    /// Each layer is classified by its cached [`LayerPartial`]'s extent:
+    /// a layer outside the region is skipped, a layer inside it
+    /// contributes the cached partial, and only a layer the region's
+    /// edge cuts through is scanned — into one reused scratch partial,
+    /// through the same [`LayerPartial::push`] that built the cache, so
+    /// both paths yield the same bits.
     fn partials(
         &self,
         mut keys: Vec<TileKey>,
-        matches: impl Fn(&SampleRecord) -> bool,
+        region: Region<'_>,
     ) -> Result<Vec<TilePartial>, CatalogError> {
         // Group a tile's layers together, chronological within the tile.
         keys.sort_unstable_by_key(|k| (k.tile, k.time));
+        let Some(first) = keys.first() else {
+            return Ok(Vec::new());
+        };
+        let words = (self.grid.tile_cells as usize).pow(2).div_ceil(64);
+        let mut scratch = LayerPartial::new(first.tile, words);
+        let mut cells_hit = vec![0u64; words];
         let mut out: Vec<TilePartial> = Vec::new();
         let mut i = 0usize;
         while i < keys.len() {
             let tile = keys[i].tile;
-            let mut p = TilePartial {
-                tile,
-                n_samples: 0,
-                class_counts: [0; 3],
-                n_ice: 0,
-                ice_sum_m: 0.0,
-                min_freeboard_m: f64::INFINITY,
-                max_freeboard_m: f64::NEG_INFINITY,
-                n_cells: 0,
-                t_n: 0,
-                t_sum_m: 0.0,
-                t_w_sum: 0.0,
-                t_wt_sum: 0.0,
-            };
-            let mut cells_hit: BTreeSet<u32> = BTreeSet::new();
+            let mut p = TilePartial::empty(tile);
+            cells_hit.fill(0);
             while i < keys.len() && keys[i].tile == tile {
                 if let Some(snapshot) = self.load_tile(&keys[i])? {
-                    for sample in snapshot.samples() {
-                        if !matches(sample) {
-                            continue;
+                    let cached = snapshot.partial();
+                    let layer = match region.overlap(cached) {
+                        Overlap::Disjoint => None,
+                        Overlap::Contained => Some(cached),
+                        Overlap::Boundary => {
+                            scratch.reset(tile);
+                            region.scan_into(snapshot.samples(), &mut scratch);
+                            Some(&scratch)
                         }
-                        p.n_samples += 1;
-                        p.class_counts[sample.class.index()] += 1;
-                        if sample.class != SurfaceClass::OpenWater {
-                            p.n_ice += 1;
-                            p.ice_sum_m += sample.freeboard_m;
-                        }
-                        p.min_freeboard_m = p.min_freeboard_m.min(sample.freeboard_m);
-                        p.max_freeboard_m = p.max_freeboard_m.max(sample.freeboard_m);
-                        if sample.bears_thickness() {
-                            let w = 1.0 / (sample.thickness_sigma_m * sample.thickness_sigma_m);
-                            p.t_n += 1;
-                            p.t_sum_m += sample.thickness_m;
-                            p.t_w_sum += w;
-                            p.t_wt_sum += sample.thickness_m * w;
-                        }
-                        cells_hit.insert(sample.cell);
+                    };
+                    if let Some(layer) = layer {
+                        p.absorb(&layer.moments);
+                        layer.or_cells_into(&mut cells_hit);
                     }
                 }
                 i += 1;
             }
             if p.n_samples > 0 {
-                p.n_cells = cells_hit.len() as u64;
+                p.n_cells = cells_hit.iter().map(|w| u64::from(w.count_ones())).sum();
                 out.push(p);
             }
         }
         Ok(out)
+    }
+}
+
+/// The sample filter of a summary query.
+#[derive(Debug, Clone, Copy)]
+enum Region<'a> {
+    /// Samples whose projected position lies in the rect (edges
+    /// inclusive).
+    Rect(&'a MapRect),
+    /// Samples whose geographic position lies in the box (edges
+    /// inclusive, longitudes normalised by [`GeoPoint::new`]).
+    Bbox(&'a BoundingBox),
+    /// Every sample.
+    All,
+}
+
+/// How a region meets one layer's samples.
+enum Overlap {
+    /// No sample can match.
+    Disjoint,
+    /// Every sample matches.
+    Contained,
+    /// Undecided by the extent alone: scan.
+    Boundary,
+}
+
+impl Region<'_> {
+    /// Whether one sample matches.
+    fn contains(&self, s: &SampleRecord) -> bool {
+        match self {
+            Region::Rect(rect) => rect.contains(MapPoint::new(s.x_m, s.y_m)),
+            Region::Bbox(bbox) => bbox.contains(GeoPoint::new(s.lat, s.lon)),
+            Region::All => true,
+        }
+    }
+
+    /// Classifies a layer by its partial's extent. Both predicates are
+    /// closed intervals per axis, so comparing the extent's ends against
+    /// the region's decides every sample at once; a NaN region bound
+    /// fails every comparison and lands on `Boundary`.
+    fn overlap(&self, layer: &LayerPartial) -> Overlap {
+        if layer.moments.n_samples == 0 {
+            return Overlap::Disjoint;
+        }
+        // Per axis: (extent min, extent max, region min, region max).
+        let axes = match self {
+            Region::All => return Overlap::Contained,
+            _ if layer.non_finite => return Overlap::Boundary,
+            Region::Rect(r) => {
+                let e = &layer.map;
+                [
+                    (e.min.x, e.max.x, r.min.x, r.max.x),
+                    (e.min.y, e.max.y, r.min.y, r.max.y),
+                ]
+            }
+            Region::Bbox(b) => {
+                let e = &layer.geo;
+                [
+                    (e.lon_min, e.lon_max, b.lon_min, b.lon_max),
+                    (e.lat_min, e.lat_max, b.lat_min, b.lat_max),
+                ]
+            }
+        };
+        if axes.iter().any(|&(lo, hi, min, max)| hi < min || lo > max) {
+            Overlap::Disjoint
+        } else if axes
+            .iter()
+            .all(|&(lo, hi, min, max)| lo >= min && hi <= max)
+        {
+            Overlap::Contained
+        } else {
+            Overlap::Boundary
+        }
+    }
+
+    /// The boundary scan: pushes every sample of `samples` the region
+    /// contains into `out`, in order. Allocation-free once `out`'s
+    /// bitmap covers the tile's cells.
+    fn scan_into(&self, samples: &[SampleRecord], out: &mut LayerPartial) {
+        for s in samples {
+            if self.contains(s) {
+                out.push(s);
+            }
+        }
     }
 }
 
@@ -1799,6 +1927,7 @@ impl CatalogSink for FleetDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icesat_scene::SurfaceClass;
     use seaice::freeboard::FreeboardPoint;
 
     fn grid() -> GridConfig {

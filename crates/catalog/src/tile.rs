@@ -44,14 +44,18 @@
 //! the next persist, exactly as the v1 → v2 migration did.
 //!
 //! Live cell aggregates remain derived data rebuilt on decode, which
-//! doubles as a consistency check.
+//! doubles as a consistency check. So is the tile's `LayerPartial`
+//! (the whole-layer summary partial that lets a summary query skip the
+//! sample scan); it is computed in the same pass and never persisted.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use icesat_geo::{BoundingBox, GeoPoint, MapPoint};
 use icesat_scene::SurfaceClass;
 use seaice::artifact::{Artifact, ArtifactError, Codec, Reader, Writer};
 
-use crate::grid::{TileId, TimeKey};
+use crate::grid::{MapRect, TileId, TimeKey, MAX_TILE_CELLS};
+use crate::store::TilePartial;
 
 /// One classified, freeboard-carrying 2 m segment inside a tile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -329,24 +333,141 @@ impl Codec for CellAggregate {
     }
 }
 
+/// Summary partial of one tile layer's samples: the [`TilePartial`]
+/// moments, the set of cells they occupy, and their extents.
+///
+/// Every [`Tile`] carries one over its live samples (retention bases
+/// stay out, as they always have for summaries), derived when the tile
+/// is built or decoded. A summary query whose region contains the
+/// layer's extent uses it as is; a region that cuts through the layer
+/// pushes the matching samples into a scratch `LayerPartial` instead.
+/// Both go through [`LayerPartial::push`], so the cached partial is
+/// exactly what a scan matching every sample would produce.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LayerPartial {
+    /// Moments over the pushed samples, in push (canonical) order.
+    /// `n_cells` stays 0: a tile's cell count is the popcount of its
+    /// layers' OR'd bitmaps.
+    pub(crate) moments: TilePartial,
+    /// One bit per row-major cell index holding a pushed sample. Grows
+    /// to cover the highest cell pushed — at most `tile_cells²` bits.
+    cells: Vec<u64>,
+    /// Map-space extent of the pushed samples (min = +∞ when empty).
+    pub(crate) map: MapRect,
+    /// Geographic extent of the pushed samples, longitudes normalised
+    /// exactly as [`GeoPoint::new`] normalises them for bbox filtering.
+    pub(crate) geo: BoundingBox,
+    /// Some pushed sample has a non-finite coordinate, so the extents
+    /// cannot classify the layer and a region query must scan it.
+    pub(crate) non_finite: bool,
+}
+
+impl LayerPartial {
+    /// An empty partial of `tile` with room for `cell_words` bitmap
+    /// words.
+    pub(crate) fn new(tile: TileId, cell_words: usize) -> LayerPartial {
+        LayerPartial {
+            moments: TilePartial::empty(tile),
+            cells: vec![0; cell_words],
+            map: MapRect {
+                min: MapPoint::new(f64::INFINITY, f64::INFINITY),
+                max: MapPoint::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            },
+            geo: BoundingBox {
+                lon_min: f64::INFINITY,
+                lon_max: f64::NEG_INFINITY,
+                lat_min: f64::INFINITY,
+                lat_max: f64::NEG_INFINITY,
+            },
+            non_finite: false,
+        }
+    }
+
+    /// Empties the partial for reuse as `tile`'s scan scratch, keeping
+    /// the bitmap's allocation.
+    pub(crate) fn reset(&mut self, tile: TileId) {
+        let mut cells = std::mem::take(&mut self.cells);
+        cells.fill(0);
+        *self = LayerPartial {
+            cells,
+            ..LayerPartial::new(tile, 0)
+        };
+    }
+
+    /// Accumulates one sample — the single definition of step 1 of the
+    /// summary fold (`docs/PROTOCOL.md` §3.4).
+    pub(crate) fn push(&mut self, s: &SampleRecord) {
+        let m = &mut self.moments;
+        m.n_samples += 1;
+        m.class_counts[s.class.index()] += 1;
+        if s.class != SurfaceClass::OpenWater {
+            m.n_ice += 1;
+            m.ice_sum_m += s.freeboard_m;
+        }
+        m.min_freeboard_m = m.min_freeboard_m.min(s.freeboard_m);
+        m.max_freeboard_m = m.max_freeboard_m.max(s.freeboard_m);
+        if s.bears_thickness() {
+            let w = 1.0 / (s.thickness_sigma_m * s.thickness_sigma_m);
+            m.t_n += 1;
+            m.t_sum_m += s.thickness_m;
+            m.t_w_sum += w;
+            m.t_wt_sum += s.thickness_m * w;
+        }
+        let word = (s.cell / 64) as usize;
+        if word >= self.cells.len() {
+            self.cells.resize(word + 1, 0);
+        }
+        self.cells[word] |= 1u64 << (s.cell % 64);
+        let g = GeoPoint::new(s.lat, s.lon);
+        self.non_finite |=
+            !(s.x_m.is_finite() && s.y_m.is_finite() && g.lat.is_finite() && g.lon.is_finite());
+        self.map.min.x = self.map.min.x.min(s.x_m);
+        self.map.max.x = self.map.max.x.max(s.x_m);
+        self.map.min.y = self.map.min.y.min(s.y_m);
+        self.map.max.y = self.map.max.y.max(s.y_m);
+        self.geo.lat_min = self.geo.lat_min.min(g.lat);
+        self.geo.lat_max = self.geo.lat_max.max(g.lat);
+        self.geo.lon_min = self.geo.lon_min.min(g.lon);
+        self.geo.lon_max = self.geo.lon_max.max(g.lon);
+    }
+
+    /// ORs this partial's cell bitmap into `acc`, growing it if needed.
+    pub(crate) fn or_cells_into(&self, acc: &mut Vec<u64>) {
+        if acc.len() < self.cells.len() {
+            acc.resize(self.cells.len(), 0);
+        }
+        for (a, c) in acc.iter_mut().zip(&self.cells) {
+            *a |= c;
+        }
+    }
+}
+
+/// Cells in the largest tile any grid allows; a decoded sample's cell
+/// index must fall below it (which also bounds the bitmap above).
+const MAX_CELLS: u32 = MAX_TILE_CELLS as u32 * MAX_TILE_CELLS as u32;
+
 /// The one cell-aggregate fold: `base` (frozen reduction prefix) plus
 /// the live samples pushed in canonical order, then each cell's
 /// thickness p95 over its live bearing thicknesses (sorted, shared
 /// nearest-rank helper) combined with the frozen base p95 via `max`.
-/// Used verbatim by the rebuild after every merge/decode *and* by
-/// [`Tile::check_consistency`], so the invariant checked is exactly the
-/// one maintained.
+/// The same pass pushes every live sample into the tile's
+/// [`LayerPartial`]. Used verbatim by the rebuild after every
+/// merge/decode *and* by [`Tile::check_consistency`], so the invariant
+/// checked is exactly the one maintained.
 fn fold_cells(
+    id: TileId,
     base: &BTreeMap<u32, CellAggregate>,
     samples: &[SampleRecord],
-) -> BTreeMap<u32, CellAggregate> {
+) -> (BTreeMap<u32, CellAggregate>, LayerPartial) {
     let mut cells = base.clone();
+    let mut layer = LayerPartial::new(id, 0);
     let mut bearing: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
     for s in samples {
         cells
             .entry(s.cell)
             .or_insert_with(CellAggregate::empty)
             .push(s);
+        layer.push(s);
         if s.bears_thickness() {
             bearing.entry(s.cell).or_default().push(s.thickness_m);
         }
@@ -357,7 +478,7 @@ fn fold_cells(
         let agg = cells.get_mut(&cell).expect("bearing cell was pushed");
         agg.t_p95_m = agg.t_p95_m.max(p95);
     }
-    cells
+    (cells, layer)
 }
 
 /// One versioned tile of one temporal layer.
@@ -385,6 +506,8 @@ pub struct Tile {
     /// `base` plus the live samples pushed in canonical order. Derived;
     /// rebuilt after every merge and on decode.
     cells: BTreeMap<u32, CellAggregate>,
+    /// Summary partial over the live samples. Derived alongside `cells`.
+    partial: LayerPartial,
 }
 
 impl Tile {
@@ -398,6 +521,7 @@ impl Tile {
             ledger: Vec::new(),
             base: BTreeMap::new(),
             cells: BTreeMap::new(),
+            partial: LayerPartial::new(id, 0),
         }
     }
 
@@ -410,6 +534,11 @@ impl Tile {
     /// base contributions plus live samples.
     pub fn cells(&self) -> &BTreeMap<u32, CellAggregate> {
         &self.cells
+    }
+
+    /// The summary partial over the live samples.
+    pub(crate) fn partial(&self) -> &LayerPartial {
+        &self.partial
     }
 
     /// The sorted source-id ledger.
@@ -528,6 +657,7 @@ impl Tile {
             ledger,
             base,
             cells: BTreeMap::new(),
+            partial: LayerPartial::new(id, 0),
         };
         tile.rebuild_cells();
         tile
@@ -539,17 +669,17 @@ impl Tile {
         self.samples.iter().filter(|s| s.bears_thickness()).count() as u64
     }
 
-    /// Effective aggregates: the shared [`fold_cells`] over base +
-    /// live samples.
+    /// Effective aggregates and the summary partial: the shared
+    /// [`fold_cells`] over base + live samples.
     fn rebuild_cells(&mut self) {
-        self.cells = fold_cells(&self.base, &self.samples);
+        (self.cells, self.partial) = fold_cells(self.id, &self.base, &self.samples);
     }
 
     /// Checks the tile's internal invariants — what concurrent readers
     /// assert about every snapshot they observe: samples in canonical
     /// order, the ledger sorted and covering every sample's source
-    /// (exactly, while no base is frozen), and cell aggregates exactly
-    /// consistent with base + samples.
+    /// (exactly, while no base is frozen), and cell aggregates and the
+    /// summary partial exactly consistent with base + samples.
     pub fn check_consistency(&self) -> Result<(), &'static str> {
         if !self
             .samples
@@ -568,9 +698,12 @@ impl Tile {
         if self.base.is_empty() && self.ledger.len() != sample_sources.len() {
             return Err("ledger lists a source with no samples and no base");
         }
-        let rebuilt = fold_cells(&self.base, &self.samples);
-        if rebuilt != self.cells {
+        let (cells, partial) = fold_cells(self.id, &self.base, &self.samples);
+        if cells != self.cells {
             return Err("cell aggregates inconsistent with base + samples");
+        }
+        if partial != self.partial {
+            return Err("summary partial inconsistent with samples");
         }
         let total: u64 = self.cells.values().map(|c| c.n).sum();
         if total != self.samples.len() as u64 + self.n_dropped() {
@@ -596,7 +729,11 @@ impl Tile {
         }
         let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
-            samples.push(SampleRecord::decode_format(r, format)?);
+            let s = SampleRecord::decode_format(r, format)?;
+            if s.cell >= MAX_CELLS {
+                return Err(ArtifactError::Invalid("sample cell beyond any grid"));
+            }
+            samples.push(s);
         }
         if let Some(expected) = n_thickness {
             let counted = samples.iter().filter(|s| s.bears_thickness()).count() as u64;
@@ -670,6 +807,7 @@ impl Tile {
             ledger,
             base,
             cells: BTreeMap::new(),
+            partial: LayerPartial::new(id, 0),
         };
         tile.rebuild_cells();
         Ok(tile)
@@ -1183,6 +1321,66 @@ mod tests {
         let back = Tile::from_bytes(&tile.to_bytes()).unwrap();
         assert_eq!(back.cells(), &cells_before);
         back.check_consistency().unwrap();
+    }
+
+    /// The cached summary partial covers the live samples only, is
+    /// rebuilt by every merge and decode, and a drifted copy fails the
+    /// consistency check.
+    #[test]
+    fn layer_partial_tracks_live_samples_and_is_checked() {
+        let mut tile = Tile::new(
+            TileId::new(2, 1, 3).unwrap(),
+            TimeKey::new(2019, 11).unwrap(),
+        );
+        tile.merge(&batch_a());
+        tile.merge(&[thick_sample(4, 20.0, 0.5, 70, 2.5, 0.5)]);
+        let p = tile.partial().clone();
+        assert_eq!(p.moments.n_samples, 4);
+        assert_eq!(p.moments.class_counts, [2, 1, 1]);
+        assert_eq!(p.moments.t_n, 1);
+        assert_eq!(p.moments.t_w_sum, 4.0);
+        let mut cells = vec![0u64; 1];
+        p.or_cells_into(&mut cells);
+        assert_eq!(cells, vec![1 << 5 | 1 << 9, 1 << 6], "cells 5, 9 and 70");
+        assert_eq!((p.map.min.x, p.map.max.y), (1.0, 2.0));
+        assert_eq!((p.geo.lat_min, p.geo.lon_max), (-74.0, -160.0));
+        assert!(!p.non_finite);
+
+        let back = Tile::from_bytes(&tile.to_bytes()).unwrap();
+        assert_eq!(back.partial(), &p, "decode rebuilds the same partial");
+
+        let mut drifted = tile.clone();
+        drifted.partial.moments.ice_sum_m += 1e-12;
+        assert_eq!(
+            drifted.check_consistency(),
+            Err("summary partial inconsistent with samples")
+        );
+
+        // Retention freezes the cells but empties the partial.
+        tile.freeze_detail();
+        assert_eq!(tile.partial().moments.n_samples, 0);
+        tile.check_consistency().unwrap();
+
+        // A non-finite coordinate is flagged; the extents skip it.
+        let mut odd = sample(5, 1.0, 0.2, SurfaceClass::ThinIce, 2);
+        odd.lon = f64::NAN;
+        tile.merge(&[odd]);
+        assert!(tile.partial().non_finite);
+        assert_eq!(tile.partial().geo.lon_min, f64::INFINITY);
+        tile.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn sample_cells_beyond_any_grid_are_rejected_on_decode() {
+        let mut tile = Tile::new(
+            TileId::new(2, 1, 3).unwrap(),
+            TimeKey::new(2019, 11).unwrap(),
+        );
+        tile.merge(&[sample(1, 0.0, 0.1, SurfaceClass::ThickIce, MAX_CELLS)]);
+        assert!(matches!(
+            Tile::from_bytes(&tile.to_bytes()),
+            Err(ArtifactError::Invalid(_))
+        ));
     }
 
     #[test]

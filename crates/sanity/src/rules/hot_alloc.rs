@@ -1,16 +1,17 @@
 //! Rule `hot_alloc`: the PR-2 allocation-free contract. Kernels whose
-//! names end in `_into`, `_ws`, or `_inplace` (in `crates/nn` and
-//! `crates/core`) exist precisely so the steady-state path never
-//! allocates; a `vec![...]` or `.collect()` slipped into one of them
-//! silently un-does the 3–29× wins pinned in BENCH_2.json while every
-//! oracle test keeps passing.
+//! names end in `_into`, `_ws`, or `_inplace` (in `crates/nn`,
+//! `crates/core` and `crates/catalog`) exist precisely so the
+//! steady-state path never allocates; a `vec![...]` or `.collect()`
+//! slipped into one of them silently un-does the 3–29× wins pinned in
+//! BENCH_2.json (or, in the catalog, the per-sample boundary scan of a
+//! summary query) while every oracle test keeps passing.
 
 use crate::report::Finding;
 use crate::scan::SourceFile;
 
 pub const RULE: &str = "hot_alloc";
 
-const CRATES: [&str; 2] = ["crates/nn/src/", "crates/core/src/"];
+const CRATES: [&str; 3] = ["crates/nn/src/", "crates/core/src/", "crates/catalog/src/"];
 const SUFFIXES: [&str; 3] = ["_into", "_ws", "_inplace"];
 
 /// Allocating method calls (must be `.name(` calls).
@@ -89,11 +90,11 @@ mod tests {
     use std::path::PathBuf;
 
     fn run(src: &str) -> Vec<Finding> {
-        let f = SourceFile::scan(
-            PathBuf::from("/w/crates/nn/src/tensor.rs"),
-            "crates/nn/src/tensor.rs".into(),
-            src.into(),
-        );
+        run_in("crates/nn/src/tensor.rs", src)
+    }
+
+    fn run_in(rel: &str, src: &str) -> Vec<Finding> {
+        let f = SourceFile::scan(PathBuf::from("/w").join(rel), rel.into(), src.into());
         check(&[f])
     }
 
@@ -104,6 +105,13 @@ mod tests {
         );
         assert_eq!(fs.len(), 3);
         assert!(fs.iter().all(|f| f.rule == RULE));
+    }
+
+    #[test]
+    fn catalog_kernels_are_in_scope_other_crates_are_not() {
+        let src = "fn scan_into(&self, out: &mut LayerPartial) { let v = samples.to_vec(); }";
+        assert_eq!(run_in("crates/catalog/src/store.rs", src).len(), 1);
+        assert!(run_in("crates/bench/src/serve.rs", src).is_empty());
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //!   naming the missing scopes; the strict methods turn the same
 //!   situation into [`CatalogError::Degraded`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,10 +62,8 @@ use seaice_obs::{next_trace_id, Counter, Histogram, MetricRegistry, Trace, Trace
 use crate::fault::splitmix64;
 use crate::grid::{GridConfig, MapRect, TileScope, TimeKey, TimeRange};
 use crate::server::ServerStats;
-use crate::store::{
-    CatalogStats, CellSummary, IngestMode, IngestReport, QuerySummary, TilePartial,
-};
-use crate::wire::{self, Request, Response};
+use crate::store::{CatalogStats, CellSummary, IngestMode, IngestReport, QuerySummary};
+use crate::wire::{self, unexpected, Records, Request, Response};
 use crate::CatalogError;
 use seaice_products::BeamThickness;
 
@@ -80,9 +78,11 @@ const READ_TICK: Duration = Duration::from_millis(25);
 
 /// Bounded-retry schedule: exponential backoff with seeded jitter.
 ///
-/// Retrying is *always* safe against a catalog server — every RPC is
-/// read-only — so the only judgement in this policy is how long to keep
-/// trying. The jitter is seeded (not wall-clock random) so a fault
+/// Retrying is *always* safe against a catalog server — queries are
+/// read-only and the write RPCs are idempotent per `(granule, beam)`
+/// source, so a redelivered ingest is skipped or converges — so the only
+/// judgement in this policy is how long to keep trying. The jitter is
+/// seeded (not wall-clock random) so a fault
 /// schedule replays identically under the chaos harness.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
@@ -271,123 +271,66 @@ impl Mux {
 #[must_use = "a pipelined request completes only when waited on"]
 pub struct Pending<T> {
     id: u64,
-    finish: fn(Vec<Response>, Response) -> Result<T, CatalogError>,
+    finish: Finish<T>,
 }
 
-/// Verifies the completing frame of a streamed exchange is a `Done`
-/// trailer and hands back the batches plus the advertised count.
-fn finish_stream(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<(Vec<Response>, u64), CatalogError> {
-    match done {
-        Response::Done { n_records } => Ok((batches, n_records)),
-        other => Err(unexpected(&other)),
-    }
+/// How a completed exchange's frames become its typed answer.
+enum Finish<T> {
+    /// A query-path exchange: the frames assemble onto the request's
+    /// empty [`Records`], which the fold turns into the answer.
+    Records(Records, fn(Records) -> Result<T, CatalogError>),
+    /// A scalar exchange: exactly one frame, unwrapped by the function.
+    Scalar(fn(Response) -> Result<T, CatalogError>),
 }
 
-/// Checks a streamed record count against the `Done` trailer.
-fn check_stream_count(got: usize, advertised: u64) -> Result<(), CatalogError> {
-    if got as u64 != advertised {
-        return Err(CatalogError::Protocol(format!(
-            "stream advertised {advertised} records but carried {got}"
-        )));
-    }
-    Ok(())
-}
-
-fn finish_tile_partials(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<Vec<TilePartial>, CatalogError> {
-    let (batches, advertised) = finish_stream(batches, done)?;
-    let mut records = Vec::new();
-    for batch in batches {
-        match batch {
-            Response::TileBatch(mut partials) => records.append(&mut partials),
-            other => return Err(unexpected(&other)),
+// By hand: a derive would demand `T: Clone`, which the answer never needs.
+impl<T> Clone for Finish<T> {
+    fn clone(&self) -> Finish<T> {
+        match self {
+            Finish::Records(empty, fold) => Finish::Records(empty.clone(), *fold),
+            Finish::Scalar(unwrap) => Finish::Scalar(*unwrap),
         }
     }
-    check_stream_count(records.len(), advertised)?;
-    Ok(records)
 }
 
-fn finish_summary(batches: Vec<Response>, done: Response) -> Result<QuerySummary, CatalogError> {
-    Ok(QuerySummary::from_partials(finish_tile_partials(
-        batches, done,
-    )?))
-}
+impl<T> Finish<T> {
+    /// The query-path finish for `request`, folding with `fold`.
+    fn records(
+        request: &Request,
+        fold: fn(Records) -> Result<T, CatalogError>,
+    ) -> Result<Finish<T>, CatalogError> {
+        Ok(Finish::Records(Records::empty_for(request)?, fold))
+    }
 
-fn finish_layer_records(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<Vec<(TimeKey, TilePartial)>, CatalogError> {
-    let (batches, advertised) = finish_stream(batches, done)?;
-    let mut records = Vec::new();
-    for batch in batches {
-        match batch {
-            Response::LayerBatch(mut layers) => records.append(&mut layers),
-            other => return Err(unexpected(&other)),
+    fn run(self, batches: Vec<Response>, done: Response) -> Result<T, CatalogError> {
+        match self {
+            Finish::Records(empty, fold) => fold(empty.assemble(batches, done)?),
+            Finish::Scalar(unwrap) => {
+                if let Some(stray) = batches.first() {
+                    return Err(unexpected(stray));
+                }
+                unwrap(done)
+            }
         }
     }
-    check_stream_count(records.len(), advertised)?;
-    Ok(records)
 }
 
-fn finish_layers(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
-    Ok(fold_layer_records(finish_layer_records(batches, done)?))
-}
-
-fn finish_cells(batches: Vec<Response>, done: Response) -> Result<Vec<CellSummary>, CatalogError> {
-    let (batches, advertised) = finish_stream(batches, done)?;
-    let mut records = Vec::new();
-    for batch in batches {
-        match batch {
-            Response::CellBatch(mut cells) => records.append(&mut cells),
-            other => return Err(unexpected(&other)),
-        }
-    }
-    check_stream_count(records.len(), advertised)?;
-    Ok(records)
-}
-
-/// For scalar exchanges: no batch frame may precede the answer.
-fn finish_scalar(batches: Vec<Response>, done: Response) -> Result<Response, CatalogError> {
-    if let Some(stray) = batches.into_iter().next() {
-        return Err(unexpected(&stray));
-    }
-    Ok(done)
-}
-
-fn finish_point(
-    batches: Vec<Response>,
-    done: Response,
-) -> Result<Option<CellSummary>, CatalogError> {
-    match finish_scalar(batches, done)? {
-        Response::Point(cell) => Ok(cell),
-        other => Err(unexpected(&other)),
-    }
-}
-
-fn finish_pong(batches: Vec<Response>, done: Response) -> Result<ServerStats, CatalogError> {
-    match finish_scalar(batches, done)? {
+fn pong(response: Response) -> Result<ServerStats, CatalogError> {
+    match response {
         Response::Pong(stats) => Ok(stats),
         other => Err(unexpected(&other)),
     }
 }
 
-fn finish_metrics(batches: Vec<Response>, done: Response) -> Result<String, CatalogError> {
-    match finish_scalar(batches, done)? {
+fn metrics(response: Response) -> Result<String, CatalogError> {
+    match response {
         Response::Metrics(text) => Ok(text),
         other => Err(unexpected(&other)),
     }
 }
 
-fn finish_ingested(batches: Vec<Response>, done: Response) -> Result<IngestReport, CatalogError> {
-    match finish_scalar(batches, done)? {
+fn ingested(response: Response) -> Result<IngestReport, CatalogError> {
+    match response {
         Response::Ingested(report) => Ok(report),
         other => Err(unexpected(&other)),
     }
@@ -477,23 +420,14 @@ impl CatalogClient {
     /// Health probe: the server's serving counters, via
     /// [`Request::Ping`].
     pub fn ping(&mut self) -> Result<ServerStats, CatalogError> {
-        match self.exchange_scalar(&Request::Ping)? {
-            Response::Pong(stats) => Ok(stats),
-            other => Err(unexpected(&other)),
-        }
+        self.exchange(&Request::Ping, Finish::Scalar(pong))
     }
 
     /// Full metric snapshot of the server, via
     /// [`Request::Introspect`]: sorted Prometheus-style exposition text
-    /// (parse with [`seaice_obs::parse_exposition`]). Against a
-    /// pre-introspection server this surfaces as
-    /// [`CatalogError::Remote`] with `ERR_BAD_REQUEST` — the connection
-    /// stays usable.
+    /// (parse with [`seaice_obs::parse_exposition`]).
     pub fn introspect(&mut self) -> Result<String, CatalogError> {
-        match self.exchange_scalar(&Request::Introspect)? {
-            Response::Metrics(text) => Ok(text),
-            other => Err(unexpected(&other)),
-        }
+        self.exchange(&Request::Introspect, Finish::Scalar(metrics))
     }
 
     /// The metric registry this client records into.
@@ -516,7 +450,8 @@ impl CatalogClient {
 
     /// True for failures where the exchange may not have completed and
     /// the connection can't be trusted: worth a reconnect + retry
-    /// (read-only RPCs make that always safe). [`CatalogError::Remote`]
+    /// (read-only queries and idempotent writes make that always safe).
+    /// [`CatalogError::Remote`]
     /// is *not* transport-class — the server answered; the error is
     /// deterministic and the connection is at a clean frame boundary.
     fn is_transport(e: &CatalogError) -> bool {
@@ -734,7 +669,7 @@ impl CatalogClient {
         &mut self,
         request: &Request,
         trace_id: u64,
-        finish: fn(Vec<Response>, Response) -> Result<T, CatalogError>,
+        finish: Finish<T>,
     ) -> Result<Pending<T>, CatalogError> {
         self.ensure_connected()?;
         let id = self.mux.alloc_id();
@@ -760,7 +695,7 @@ impl CatalogClient {
     fn submit_traced<T>(
         &mut self,
         request: &Request,
-        finish: fn(Vec<Response>, Response) -> Result<T, CatalogError>,
+        finish: Finish<T>,
     ) -> Result<Pending<T>, CatalogError> {
         let trace_id = if self.config.trace {
             next_trace_id()
@@ -768,6 +703,17 @@ impl CatalogClient {
             0
         };
         self.submit_with(request, trace_id, finish)
+    }
+
+    /// Pipelines a query-path `request` whose answer `fold` types — the
+    /// submit half of the one record path [`CatalogClient::call`] runs.
+    fn submit<T>(
+        &mut self,
+        request: &Request,
+        fold: fn(Records) -> Result<T, CatalogError>,
+    ) -> Result<Pending<T>, CatalogError> {
+        let finish = Finish::records(request, fold)?;
+        self.submit_traced(request, finish)
     }
 
     /// Blocks until `pending`'s request completes and returns its typed
@@ -811,7 +757,7 @@ impl CatalogClient {
                     if let Response::Error { code, message } = done {
                         return Err(CatalogError::Remote { code, message });
                     }
-                    return (pending.finish)(slot.batches, done);
+                    return pending.finish.run(slot.batches, done);
                 }
                 Some(_) => {}
             }
@@ -884,141 +830,28 @@ impl CatalogClient {
         self.mux.pending.len()
     }
 
-    // -- Scoped partial/record transport --------------------------------
+    // -- The sync facade ----------------------------------------------------
 
-    /// Sends `request` and waits for its scalar answer (with deadline,
-    /// reconnect, and retry per the config) — the sync facade over one
-    /// submit + wait.
-    fn exchange_scalar(&mut self, request: &Request) -> Result<Response, CatalogError> {
+    /// Sends `request` and waits for its answer (with deadline,
+    /// reconnect, and retry per the config) — one submit + wait. A retry
+    /// re-runs the whole exchange from scratch (partial streams are
+    /// discarded).
+    fn exchange<T>(&mut self, request: &Request, finish: Finish<T>) -> Result<T, CatalogError> {
         self.with_retry(|client, deadline, trace_id| {
-            let pending = client.submit_with(request, trace_id, finish_scalar)?;
+            let pending = client.submit_with(request, trace_id, finish.clone())?;
             client.wait_deadline(pending, deadline)
         })
     }
 
-    /// Sends `request` and collects its streamed answer through
-    /// `finish` (with deadline, reconnect, and retry per the config).
-    /// A retry re-runs the whole exchange from scratch (partial
-    /// streams are discarded).
-    fn exchange_stream<T>(
-        &mut self,
-        request: &Request,
-        finish: fn(Vec<Response>, Response) -> Result<T, CatalogError>,
-    ) -> Result<T, CatalogError> {
-        self.with_retry(|client, deadline, trace_id| {
-            let pending = client.submit_with(request, trace_id, finish)?;
-            client.wait_deadline(pending, deadline)
-        })
+    /// Runs one query-path request — any of the five queries, `Stats`,
+    /// or `Validate`, restricted to its own scope — and returns its
+    /// [`Records`], exactly as [`crate::Catalog::execute`] computed them
+    /// on the server. Every typed query method is this call (or its
+    /// pipelined twin) plus a `Records::into_*` fold; the shard router
+    /// sends each owner its scoped request through it.
+    pub fn call(&mut self, request: &Request) -> Result<Records, CatalogError> {
+        self.exchange(request, Finish::records(request, Ok)?)
     }
-
-    /// Scoped per-tile partials of a rect query (the shard-router
-    /// transport behind [`CatalogClient::query_rect`]).
-    pub fn query_rect_partials(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<TilePartial>, CatalogError> {
-        self.exchange_stream(
-            &Request::QueryRect {
-                rect: *rect,
-                time,
-                scope: scope.clone(),
-            },
-            finish_tile_partials,
-        )
-    }
-
-    /// Scoped per-tile partials of a bbox query.
-    pub fn query_bbox_partials(
-        &mut self,
-        bbox: &BoundingBox,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<TilePartial>, CatalogError> {
-        self.exchange_stream(
-            &Request::QueryBbox {
-                bbox: *bbox,
-                time,
-                scope: scope.clone(),
-            },
-            finish_tile_partials,
-        )
-    }
-
-    /// Scoped per-layer, per-tile partials of a time-range query.
-    pub fn query_time_range_partials(
-        &mut self,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<(TimeKey, TilePartial)>, CatalogError> {
-        self.exchange_stream(
-            &Request::QueryTimeRange {
-                time,
-                scope: scope.clone(),
-            },
-            finish_layer_records,
-        )
-    }
-
-    /// Scoped gridded composite cells.
-    pub fn query_cells_scoped(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<CellSummary>, CatalogError> {
-        self.exchange_stream(
-            &Request::QueryCells {
-                rect: *rect,
-                time,
-                scope: scope.clone(),
-            },
-            finish_cells,
-        )
-    }
-
-    /// Scoped point probe.
-    pub fn query_point_scoped(
-        &mut self,
-        point: GeoPoint,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Option<CellSummary>, CatalogError> {
-        match self.exchange_scalar(&Request::QueryPoint {
-            point,
-            time,
-            scope: scope.clone(),
-        })? {
-            Response::Point(cell) => Ok(cell),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Scoped counters + chronological layer list.
-    pub fn scoped_stats(
-        &mut self,
-        scope: &TileScope,
-    ) -> Result<(CatalogStats, Vec<TimeKey>), CatalogError> {
-        match self.exchange_scalar(&Request::Stats {
-            scope: scope.clone(),
-        })? {
-            Response::Stats { stats, layers } => Ok((stats, layers)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Scoped full-store invariant check; returns tiles checked.
-    pub fn validate_scoped(&mut self, scope: &TileScope) -> Result<usize, CatalogError> {
-        match self.exchange_scalar(&Request::Validate {
-            scope: scope.clone(),
-        })? {
-            Response::Done { n_records } => Ok(n_records as usize),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    // -- The Catalog-mirroring convenience API ---------------------------
 
     /// Served [`crate::Catalog::query_rect`] — same fold, same bits.
     pub fn query_rect(
@@ -1026,11 +859,13 @@ impl CatalogClient {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        Ok(QuerySummary::from_partials(self.query_rect_partials(
-            rect,
+        let scope = TileScope::all();
+        self.call(&Request::QueryRect {
+            rect: *rect,
             time,
-            &TileScope::all(),
-        )?))
+            scope,
+        })?
+        .into_summary()
     }
 
     /// Served [`crate::Catalog::query_bbox`].
@@ -1039,11 +874,13 @@ impl CatalogClient {
         bbox: &BoundingBox,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        Ok(QuerySummary::from_partials(self.query_bbox_partials(
-            bbox,
+        let scope = TileScope::all();
+        self.call(&Request::QueryBbox {
+            bbox: *bbox,
             time,
-            &TileScope::all(),
-        )?))
+            scope,
+        })?
+        .into_summary()
     }
 
     /// Served [`crate::Catalog::query_point`].
@@ -1052,7 +889,9 @@ impl CatalogClient {
         point: GeoPoint,
         time: TimeRange,
     ) -> Result<Option<CellSummary>, CatalogError> {
-        self.query_point_scoped(point, time, &TileScope::all())
+        let scope = TileScope::all();
+        self.call(&Request::QueryPoint { point, time, scope })?
+            .into_point()
     }
 
     /// Served [`crate::Catalog::query_time_range`].
@@ -1060,9 +899,9 @@ impl CatalogClient {
         &mut self,
         time: TimeRange,
     ) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
-        Ok(fold_layer_records(
-            self.query_time_range_partials(time, &TileScope::all())?,
-        ))
+        let scope = TileScope::all();
+        self.call(&Request::QueryTimeRange { time, scope })?
+            .into_layers()
     }
 
     /// Served [`crate::Catalog::query_cells`].
@@ -1071,17 +910,27 @@ impl CatalogClient {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<Vec<CellSummary>, CatalogError> {
-        self.query_cells_scoped(rect, time, &TileScope::all())
+        let scope = TileScope::all();
+        self.call(&Request::QueryCells {
+            rect: *rect,
+            time,
+            scope,
+        })?
+        .into_cells()
     }
 
     /// Served [`crate::Catalog::stats`].
     pub fn stats(&mut self) -> Result<CatalogStats, CatalogError> {
-        Ok(self.scoped_stats(&TileScope::all())?.0)
+        let scope = TileScope::all();
+        self.call(&Request::Stats { scope })?.into_stats()
     }
 
     /// Served [`crate::Catalog::validate`].
     pub fn validate(&mut self) -> Result<(), CatalogError> {
-        self.validate_scoped(&TileScope::all()).map(|_| ())
+        let scope = TileScope::all();
+        self.call(&Request::Validate { scope })?
+            .into_checked()
+            .map(|_| ())
     }
 
     // -- Served writes ----------------------------------------------------
@@ -1110,15 +959,13 @@ impl CatalogClient {
         product: &FreeboardProduct,
         mode: IngestMode,
     ) -> Result<IngestReport, CatalogError> {
-        match self.exchange_scalar(&Request::IngestSamples {
+        let request = Request::IngestSamples {
             granule_id: granule_id.to_string(),
             beam: beam_index as u32,
             mode,
             product: product.clone(),
-        })? {
-            Response::Ingested(report) => Ok(report),
-            other => Err(unexpected(&other)),
-        }
+        };
+        self.exchange(&request, Finish::Scalar(ingested))
     }
 
     /// Served [`crate::Catalog::ingest_thickness_beam`]: Skip-mode
@@ -1137,13 +984,11 @@ impl CatalogClient {
         beam: &BeamThickness,
         mode: IngestMode,
     ) -> Result<IngestReport, CatalogError> {
-        match self.exchange_scalar(&Request::IngestThickness {
-            mode,
-            beam: beam.clone(),
-        })? {
-            Response::Ingested(report) => Ok(report),
-            other => Err(unexpected(&other)),
-        }
+        let beam = beam.clone();
+        self.exchange(
+            &Request::IngestThickness { mode, beam },
+            Finish::Scalar(ingested),
+        )
     }
 
     // -- The pipelined submit API -----------------------------------------
@@ -1155,13 +1000,14 @@ impl CatalogClient {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<Pending<QuerySummary>, CatalogError> {
-        self.submit_traced(
+        let scope = TileScope::all();
+        self.submit(
             &Request::QueryRect {
                 rect: *rect,
                 time,
-                scope: TileScope::all(),
+                scope,
             },
-            finish_summary,
+            Records::into_summary,
         )
     }
 
@@ -1171,13 +1017,14 @@ impl CatalogClient {
         bbox: &BoundingBox,
         time: TimeRange,
     ) -> Result<Pending<QuerySummary>, CatalogError> {
-        self.submit_traced(
+        let scope = TileScope::all();
+        self.submit(
             &Request::QueryBbox {
                 bbox: *bbox,
                 time,
-                scope: TileScope::all(),
+                scope,
             },
-            finish_summary,
+            Records::into_summary,
         )
     }
 
@@ -1187,13 +1034,10 @@ impl CatalogClient {
         point: GeoPoint,
         time: TimeRange,
     ) -> Result<Pending<Option<CellSummary>>, CatalogError> {
-        self.submit_traced(
-            &Request::QueryPoint {
-                point,
-                time,
-                scope: TileScope::all(),
-            },
-            finish_point,
+        let scope = TileScope::all();
+        self.submit(
+            &Request::QueryPoint { point, time, scope },
+            Records::into_point,
         )
     }
 
@@ -1202,12 +1046,10 @@ impl CatalogClient {
         &mut self,
         time: TimeRange,
     ) -> Result<Pending<Vec<(TimeKey, QuerySummary)>>, CatalogError> {
-        self.submit_traced(
-            &Request::QueryTimeRange {
-                time,
-                scope: TileScope::all(),
-            },
-            finish_layers,
+        let scope = TileScope::all();
+        self.submit(
+            &Request::QueryTimeRange { time, scope },
+            Records::into_layers,
         )
     }
 
@@ -1217,24 +1059,25 @@ impl CatalogClient {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<Pending<Vec<CellSummary>>, CatalogError> {
-        self.submit_traced(
+        let scope = TileScope::all();
+        self.submit(
             &Request::QueryCells {
                 rect: *rect,
                 time,
-                scope: TileScope::all(),
+                scope,
             },
-            finish_cells,
+            Records::into_cells,
         )
     }
 
     /// Pipelined [`CatalogClient::ping`].
     pub fn submit_ping(&mut self) -> Result<Pending<ServerStats>, CatalogError> {
-        self.submit_traced(&Request::Ping, finish_pong)
+        self.submit_traced(&Request::Ping, Finish::Scalar(pong))
     }
 
     /// Pipelined [`CatalogClient::introspect`].
     pub fn submit_introspect(&mut self) -> Result<Pending<String>, CatalogError> {
-        self.submit_traced(&Request::Introspect, finish_metrics)
+        self.submit_traced(&Request::Introspect, Finish::Scalar(metrics))
     }
 
     /// Pipelined [`CatalogClient::ingest_beam_with`]: the server
@@ -1247,15 +1090,13 @@ impl CatalogClient {
         product: &FreeboardProduct,
         mode: IngestMode,
     ) -> Result<Pending<IngestReport>, CatalogError> {
-        self.submit_traced(
-            &Request::IngestSamples {
-                granule_id: granule_id.to_string(),
-                beam: beam_index as u32,
-                mode,
-                product: product.clone(),
-            },
-            finish_ingested,
-        )
+        let request = Request::IngestSamples {
+            granule_id: granule_id.to_string(),
+            beam: beam_index as u32,
+            mode,
+            product: product.clone(),
+        };
+        self.submit_traced(&request, Finish::Scalar(ingested))
     }
 
     /// Pipelined [`CatalogClient::ingest_thickness_beam_with`].
@@ -1264,32 +1105,12 @@ impl CatalogClient {
         beam: &BeamThickness,
         mode: IngestMode,
     ) -> Result<Pending<IngestReport>, CatalogError> {
+        let beam = beam.clone();
         self.submit_traced(
-            &Request::IngestThickness {
-                mode,
-                beam: beam.clone(),
-            },
-            finish_ingested,
+            &Request::IngestThickness { mode, beam },
+            Finish::Scalar(ingested),
         )
     }
-}
-
-fn unexpected(response: &Response) -> CatalogError {
-    CatalogError::Protocol(format!("unexpected response frame: {response:?}"))
-}
-
-/// Groups `(layer, partial)` records by layer and folds each layer with
-/// the canonical summary fold, chronological output — the shared merge
-/// behind local, single-served, and sharded time-range queries.
-fn fold_layer_records(records: Vec<(TimeKey, TilePartial)>) -> Vec<(TimeKey, QuerySummary)> {
-    let mut by_layer: BTreeMap<TimeKey, Vec<TilePartial>> = BTreeMap::new();
-    for (time, partial) in records {
-        by_layer.entry(time).or_default().push(partial);
-    }
-    by_layer
-        .into_iter()
-        .map(|(time, partials)| (time, QuerySummary::from_partials(partials)))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1545,8 +1366,9 @@ impl<T> Routed<T> {
 /// ([`ShardRouter::connect_replicated`]): queries fail over within the
 /// group, per-replica circuit breakers keep traffic off dead servers,
 /// and an optional background prober pings tripped replicas back into
-/// rotation. The `*_routed` query methods return [`Routed`] partial
-/// answers naming unreachable scopes; the plain methods demand
+/// rotation. [`ShardRouter::run_routed`] (and
+/// [`ShardRouter::query_rect_routed`]) return [`Routed`] partial answers
+/// naming unreachable scopes; the typed query methods demand
 /// completeness and fail with [`CatalogError::Degraded`] otherwise.
 pub struct ShardRouter {
     groups: Vec<Group>,
@@ -1852,26 +1674,18 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Groups owning at least one of `candidates` (indices).
-    fn owners_of(&self, candidates: &[crate::grid::TileId]) -> Vec<usize> {
-        (0..self.groups.len())
-            .filter(|&i| candidates.iter().any(|t| self.groups[i].scope.matches(t)))
-            .collect()
-    }
-
-    /// Runs `run` against the replicas of group `gi`, failing over in
-    /// preference order. Breakers gate which replicas see traffic;
-    /// transport failures trip them, catalog-side errors don't (the
-    /// server *answered*).
-    fn group_call<T>(
-        &mut self,
-        gi: usize,
-        run: impl Fn(&mut CatalogClient, &TileScope) -> Result<T, CatalogError>,
-    ) -> GroupOutcome<T> {
+    /// Runs the request against the replicas of group `gi` with the
+    /// group's scope, failing over in preference order. Breakers gate
+    /// which replicas see traffic; transport failures trip them,
+    /// catalog-side errors don't (the server *answered*).
+    fn group_call(&mut self, gi: usize, request: &Request) -> GroupOutcome<Records> {
         let client_config = self.config.client.clone();
         let grid = self.grid;
         let group = &mut self.groups[gi];
-        let scope = group.scope.clone();
+        let mut scoped = request.clone();
+        if let Some(scope) = scoped.scope_mut() {
+            *scope = group.scope.clone();
+        }
         let mut reachable_err: Option<CatalogError> = None;
         for replica in group.replicas.iter_mut() {
             if !replica.breaker.allows() {
@@ -1896,7 +1710,7 @@ impl ShardRouter {
             let Some(client) = replica.client.as_mut() else {
                 continue;
             };
-            match run(client, &scope) {
+            match client.call(&scoped) {
                 Ok(v) => {
                     replica.breaker.on_success();
                     return GroupOutcome::Ok(v);
@@ -1922,35 +1736,30 @@ impl ShardRouter {
         }
     }
 
-    /// Verifies shard answers cover disjoint tiles, then folds.
-    fn merge_partials(per_shard: Vec<Vec<TilePartial>>) -> Result<QuerySummary, CatalogError> {
-        let mut seen: BTreeSet<crate::grid::TileId> = BTreeSet::new();
-        let mut all: Vec<TilePartial> = Vec::new();
-        for partials in per_shard {
-            for p in partials {
-                if !seen.insert(p.tile) {
-                    return Err(CatalogError::Protocol(
-                        "two shards answered for the same tile".into(),
-                    ));
-                }
-                all.push(p);
-            }
-        }
-        Ok(QuerySummary::from_partials(all))
-    }
-
-    /// Fans `run` out to the groups in `owners`, collecting per-group
-    /// results and the scopes that were unreachable.
-    fn fan_out<T>(
-        &mut self,
-        owners: Vec<usize>,
-        run: impl Fn(&mut CatalogClient, &TileScope) -> Result<T, CatalogError>,
-    ) -> Result<(Vec<T>, Vec<TileScope>), CatalogError> {
-        let mut results = Vec::with_capacity(owners.len());
+    /// Runs one query-path request over the shard map: asks every group
+    /// owning a tile of the request's footprint (every group, for a
+    /// request without one), each with its own scope, and merges their
+    /// [`Records`] with [`Records::merge`] — bit-identical to one
+    /// in-process catalog holding all the data. Groups with no reachable
+    /// replica are named in [`Routed::missing`] (counted once in
+    /// `router_degraded_total`); a catalog-side error propagates.
+    pub fn run_routed(&mut self, request: &Request) -> Result<Routed<Records>, CatalogError> {
+        // Refuse a request outside the query path before any shard sees
+        // it.
+        Records::empty_for(request)?;
+        let footprint = request.footprint(&self.grid);
+        let owners: Vec<usize> = (0..self.groups.len())
+            .filter(|&i| {
+                footprint
+                    .as_ref()
+                    .is_none_or(|tiles| tiles.iter().any(|t| self.groups[i].scope.matches(t)))
+            })
+            .collect();
+        let mut answers = Vec::with_capacity(owners.len());
         let mut missing = Vec::new();
         for i in owners {
-            match self.group_call(i, &run) {
-                GroupOutcome::Ok(v) => results.push(v),
+            match self.group_call(i, request) {
+                GroupOutcome::Ok(records) => answers.push(records),
                 GroupOutcome::Unreachable => missing.push(self.groups[i].scope.clone()),
                 GroupOutcome::Failed(e) => return Err(e),
             }
@@ -1958,7 +1767,10 @@ impl ShardRouter {
         if !missing.is_empty() {
             self.degraded.inc();
         }
-        Ok((results, missing))
+        Ok(Routed {
+            value: Records::merge(request, answers)?,
+            missing,
+        })
     }
 
     /// Routed [`crate::Catalog::query_rect`] with degradation: merges
@@ -1969,14 +1781,14 @@ impl ShardRouter {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<Routed<QuerySummary>, CatalogError> {
-        let candidates = self.grid.tiles_overlapping(rect);
-        let owners = self.owners_of(&candidates);
-        let (per_shard, missing) =
-            self.fan_out(owners, |c, scope| c.query_rect_partials(rect, time, scope))?;
-        Ok(Routed {
-            value: Self::merge_partials(per_shard)?,
-            missing,
-        })
+        let scope = TileScope::all();
+        let Routed { value, missing } = self.run_routed(&Request::QueryRect {
+            rect: *rect,
+            time,
+            scope,
+        })?;
+        let value = value.into_summary()?;
+        Ok(Routed { value, missing })
     }
 
     /// Routed [`crate::Catalog::query_rect`] — fans out to the shards owning
@@ -1990,62 +1802,20 @@ impl ShardRouter {
         self.query_rect_routed(rect, time)?.into_complete()
     }
 
-    /// Routed [`crate::Catalog::query_bbox`] with degradation.
-    pub fn query_bbox_routed(
-        &mut self,
-        bbox: &BoundingBox,
-        time: TimeRange,
-    ) -> Result<Routed<QuerySummary>, CatalogError> {
-        let cover = self.grid.bbox_cover(bbox);
-        let candidates = self.grid.tiles_overlapping(&cover);
-        let owners = self.owners_of(&candidates);
-        let (per_shard, missing) =
-            self.fan_out(owners, |c, scope| c.query_bbox_partials(bbox, time, scope))?;
-        Ok(Routed {
-            value: Self::merge_partials(per_shard)?,
-            missing,
-        })
-    }
-
     /// Routed [`crate::Catalog::query_bbox`].
     pub fn query_bbox(
         &mut self,
         bbox: &BoundingBox,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        self.query_bbox_routed(bbox, time)?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::query_point`] with degradation — exactly one
-    /// group owns the point's tile, so a degraded answer carries
-    /// `value: None` and names that scope.
-    pub fn query_point_routed(
-        &mut self,
-        point: GeoPoint,
-        time: TimeRange,
-    ) -> Result<Routed<Option<CellSummary>>, CatalogError> {
-        let m = EPSG_3976.forward(point);
-        let complete = |value| Routed {
-            value,
-            missing: Vec::new(),
-        };
-        let Some((tile, _)) = self.grid.locate(m) else {
-            return Ok(complete(None));
-        };
-        let Some(i) = (0..self.groups.len()).find(|&i| self.groups[i].scope.matches(&tile)) else {
-            return Ok(complete(None));
-        };
-        match self.group_call(i, |c, scope| c.query_point_scoped(point, time, scope)) {
-            GroupOutcome::Ok(cell) => Ok(complete(cell)),
-            GroupOutcome::Unreachable => {
-                self.degraded.inc();
-                Ok(Routed {
-                    value: None,
-                    missing: vec![self.groups[i].scope.clone()],
-                })
-            }
-            GroupOutcome::Failed(e) => Err(e),
-        }
+        let scope = TileScope::all();
+        self.run_routed(&Request::QueryBbox {
+            bbox: *bbox,
+            time,
+            scope,
+        })?
+        .into_complete()?
+        .into_summary()
     }
 
     /// Routed [`crate::Catalog::query_point`] — exactly one shard owns the
@@ -2055,33 +1825,10 @@ impl ShardRouter {
         point: GeoPoint,
         time: TimeRange,
     ) -> Result<Option<CellSummary>, CatalogError> {
-        self.query_point_routed(point, time)?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::query_time_range`] with degradation.
-    pub fn query_time_range_routed(
-        &mut self,
-        time: TimeRange,
-    ) -> Result<Routed<Vec<(TimeKey, QuerySummary)>>, CatalogError> {
-        let owners: Vec<usize> = (0..self.groups.len()).collect();
-        let (per_shard, missing) =
-            self.fan_out(owners, |c, scope| c.query_time_range_partials(time, scope))?;
-        let mut records: Vec<(TimeKey, TilePartial)> = Vec::new();
-        let mut seen: BTreeSet<(TimeKey, crate::grid::TileId)> = BTreeSet::new();
-        for shard_records in per_shard {
-            for (t, p) in shard_records {
-                if !seen.insert((t, p.tile)) {
-                    return Err(CatalogError::Protocol(
-                        "two shards answered for the same layer tile".into(),
-                    ));
-                }
-                records.push((t, p));
-            }
-        }
-        Ok(Routed {
-            value: fold_layer_records(records),
-            missing,
-        })
+        let scope = TileScope::all();
+        self.run_routed(&Request::QueryPoint { point, time, scope })?
+            .into_complete()?
+            .into_point()
     }
 
     /// Routed [`crate::Catalog::query_time_range`].
@@ -2089,99 +1836,45 @@ impl ShardRouter {
         &mut self,
         time: TimeRange,
     ) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
-        self.query_time_range_routed(time)?.into_complete()
+        let scope = TileScope::all();
+        self.run_routed(&Request::QueryTimeRange { time, scope })?
+            .into_complete()?
+            .into_layers()
     }
 
-    /// Routed [`crate::Catalog::query_cells`] with degradation — shard
-    /// results concatenate (scopes are spatial, so a tile's layers
-    /// never split) and sort by `(tile, cell)` exactly like the local
-    /// composite.
-    pub fn query_cells_routed(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-    ) -> Result<Routed<Vec<CellSummary>>, CatalogError> {
-        let candidates = self.grid.tiles_overlapping(rect);
-        let owners = self.owners_of(&candidates);
-        let (per_shard, missing) =
-            self.fan_out(owners, |c, scope| c.query_cells_scoped(rect, time, scope))?;
-        let mut cells: Vec<CellSummary> = per_shard.into_iter().flatten().collect();
-        cells.sort_unstable_by_key(|c| (c.tile, c.cell));
-        if cells
-            .windows(2)
-            .any(|w| (w[0].tile, w[0].cell) == (w[1].tile, w[1].cell))
-        {
-            return Err(CatalogError::Protocol(
-                "two shards answered for the same cell".into(),
-            ));
-        }
-        Ok(Routed {
-            value: cells,
-            missing,
-        })
-    }
-
-    /// Routed [`crate::Catalog::query_cells`].
+    /// Routed [`crate::Catalog::query_cells`] — shard results concatenate
+    /// (scopes are spatial, so a tile's layers never split) and sort by
+    /// `(tile, cell)` exactly like the local composite.
     pub fn query_cells(
         &mut self,
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<Vec<CellSummary>, CatalogError> {
-        self.query_cells_routed(rect, time)?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::stats`] with degradation: tile/sample counts
-    /// sum across reachable shards, layer sets union, cache counters
-    /// sum.
-    pub fn stats_routed(&mut self) -> Result<Routed<CatalogStats>, CatalogError> {
-        let owners: Vec<usize> = (0..self.groups.len()).collect();
-        let (per_shard, missing) = self.fan_out(owners, |c, scope| c.scoped_stats(scope))?;
-        let mut n_tiles = 0usize;
-        let mut n_samples = 0usize;
-        let mut n_thickness = 0usize;
-        let mut cache = crate::cache::CacheStats::default();
-        let mut layers: BTreeSet<TimeKey> = BTreeSet::new();
-        for (stats, shard_layers) in per_shard {
-            n_tiles += stats.n_tiles;
-            n_samples += stats.n_samples;
-            n_thickness += stats.n_thickness;
-            cache.hits += stats.cache.hits;
-            cache.misses += stats.cache.misses;
-            cache.evictions += stats.cache.evictions;
-            layers.extend(shard_layers);
-        }
-        Ok(Routed {
-            value: CatalogStats {
-                n_layers: layers.len(),
-                n_tiles,
-                n_samples,
-                n_thickness,
-                cache,
-            },
-            missing,
-        })
+        let scope = TileScope::all();
+        self.run_routed(&Request::QueryCells {
+            rect: *rect,
+            time,
+            scope,
+        })?
+        .into_complete()?
+        .into_cells()
     }
 
     /// Routed [`crate::Catalog::stats`]: tile/sample counts sum across shards,
     /// layer sets union, cache counters sum.
     pub fn stats(&mut self) -> Result<CatalogStats, CatalogError> {
-        self.stats_routed()?.into_complete()
-    }
-
-    /// Routed [`crate::Catalog::validate`] with degradation; the value is
-    /// total tiles checked across reachable shards.
-    pub fn validate_routed(&mut self) -> Result<Routed<usize>, CatalogError> {
-        let owners: Vec<usize> = (0..self.groups.len()).collect();
-        let (per_shard, missing) = self.fan_out(owners, |c, scope| c.validate_scoped(scope))?;
-        Ok(Routed {
-            value: per_shard.into_iter().sum(),
-            missing,
-        })
+        let scope = TileScope::all();
+        self.run_routed(&Request::Stats { scope })?
+            .into_complete()?
+            .into_stats()
     }
 
     /// Routed [`crate::Catalog::validate`]; returns total tiles checked.
     pub fn validate(&mut self) -> Result<usize, CatalogError> {
-        self.validate_routed()?.into_complete()
+        let scope = TileScope::all();
+        self.run_routed(&Request::Validate { scope })?
+            .into_complete()?
+            .into_checked()
     }
 }
 

@@ -156,9 +156,11 @@ pub enum CatalogError {
         last: Box<CatalogError>,
     },
     /// A routed query could not reach any replica for one or more
-    /// scopes. Strict query methods return this typed error; the
-    /// `*_routed` methods instead return a [`client::Routed`] value
-    /// naming the same scopes so callers can use the partial answer.
+    /// scopes. Strict query methods return this typed error;
+    /// [`client::ShardRouter::run_routed`] and
+    /// [`client::ShardRouter::query_rect_routed`] instead return a
+    /// [`client::Routed`] value naming the same scopes so callers can
+    /// use the partial answer.
     Degraded {
         /// The unreachable scopes, in shard-map order.
         missing: Vec<grid::TileScope>,

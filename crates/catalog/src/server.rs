@@ -15,8 +15,10 @@
 //! (protocol v2, `docs/PROTOCOL.md`). A connection that never
 //! pipelines observes exactly the one-exchange-at-a-time v1 behaviour.
 //!
-//! Summary queries are answered as **per-tile partial** streams, not
-//! pre-folded summaries: the client performs the final fold with the
+//! Every query-path request goes through one dispatch arm:
+//! [`Catalog::execute`] answers it as [`crate::wire::Records`] and the
+//! server streams them — summary queries as **per-tile partials**, not
+//! pre-folded summaries. The client performs the final fold with the
 //! same code a local query uses ([`crate::QuerySummary::from_partials`]),
 //! which is what makes a query fanned out over shard servers — or
 //! multiplexed over one — bit-identical to the single-process answer.
@@ -44,8 +46,8 @@ use seaice_obs::{Counter, Gauge, Histogram, MetricRegistry, Trace, TraceLog, Tra
 
 use crate::store::Catalog;
 use crate::wire::{
-    self, Request, Response, BATCH_RECORDS, ERR_BAD_REQUEST, ERR_BAD_VERSION, ERR_CATALOG,
-    ERR_DUP_REQUEST, ERR_READ_ONLY,
+    self, Records, Request, Response, BATCH_RECORDS, ERR_BAD_REQUEST, ERR_BAD_VERSION, ERR_CATALOG,
+    ERR_DUP_REQUEST, ERR_READ_ONLY, REQUEST_KINDS,
 };
 use crate::CatalogError;
 
@@ -108,42 +110,6 @@ pub struct ServerStats {
     pub idle_dropped: u64,
 }
 
-/// Request-kind labels, indexed by [`kind_index`]. Also the `kind`
-/// label values of the per-kind `server_requests_total` /
-/// `server_request_us` metrics.
-const KIND_LABELS: [&str; 12] = [
-    "manifest",
-    "query_rect",
-    "query_bbox",
-    "query_point",
-    "query_time_range",
-    "query_cells",
-    "stats",
-    "validate",
-    "ping",
-    "introspect",
-    "ingest_samples",
-    "ingest_thickness",
-];
-
-/// Index of a request into the per-kind metric arrays.
-fn kind_index(request: &Request) -> usize {
-    match request {
-        Request::Manifest => 0,
-        Request::QueryRect { .. } => 1,
-        Request::QueryBbox { .. } => 2,
-        Request::QueryPoint { .. } => 3,
-        Request::QueryTimeRange { .. } => 4,
-        Request::QueryCells { .. } => 5,
-        Request::Stats { .. } => 6,
-        Request::Validate { .. } => 7,
-        Request::Ping => 8,
-        Request::Introspect => 9,
-        Request::IngestSamples { .. } => 10,
-        Request::IngestThickness { .. } => 11,
-    }
-}
-
 /// The server's registered metric handles. The plain lifetime counters
 /// (the `ServerStats` payload of a Pong) and the exposition metrics
 /// are the *same cells* — the registry hands out shared handles — so a
@@ -162,8 +128,10 @@ struct Counters {
     requests_in_flight: Gauge,
     /// Jobs waiting for a worker (`server_worker_queue_depth`).
     queue_depth: Gauge,
-    requests_by_kind: [Counter; KIND_LABELS.len()],
-    request_us_by_kind: [Histogram; KIND_LABELS.len()],
+    /// Per-kind request counters and latencies, indexed by wire tag
+    /// (labelled from [`REQUEST_KINDS`]).
+    requests_by_kind: [Counter; REQUEST_KINDS.len()],
+    request_us_by_kind: [Histogram; REQUEST_KINDS.len()],
     trace_log: TraceLog,
 }
 
@@ -179,9 +147,9 @@ impl Counters {
             malformed: registry.counter("server_requests_malformed_total"),
             requests_in_flight: registry.gauge("server_requests_in_flight"),
             queue_depth: registry.gauge("server_worker_queue_depth"),
-            requests_by_kind: KIND_LABELS
+            requests_by_kind: REQUEST_KINDS
                 .map(|kind| registry.counter_with("server_requests_total", &[("kind", kind)])),
-            request_us_by_kind: KIND_LABELS
+            request_us_by_kind: REQUEST_KINDS
                 .map(|kind| registry.histogram_with("server_request_us", &[("kind", kind)])),
             trace_log: TraceLog::new(TRACE_LOG_CAP),
         }
@@ -849,7 +817,7 @@ fn handle_job(
             return;
         }
     };
-    let kind = kind_index(&request);
+    let kind = usize::from(request.tag());
     counters.requests.inc();
     counters.requests_by_kind[kind].inc();
     // A non-zero frame trace id asks for a server-side breakdown.
@@ -943,31 +911,51 @@ fn respond(
     trace: &Option<Trace>,
     config: ServerConfig,
 ) -> Result<(), CatalogError> {
-    /// Streams `records` as batch frames + a `Done` trailer. Chunking
-    /// honours both the record cap and the per-frame byte budget, so no
-    /// batch can ever hit the frame cap and poison the connection.
-    /// Batches are carved off by moving (no per-record clone); the
-    /// ranges tile the records front to back. Each batch is queued as
-    /// its own frame, which is what lets batches of concurrently
-    /// streaming requests interleave on the wire.
-    fn stream_batches<T: seaice::artifact::Codec>(
+    /// Sends a query-path answer: record streams as batch frames + a
+    /// `Done` trailer, everything else as its one scalar frame.
+    /// Chunking honours both the record cap and the per-frame byte
+    /// budget, so no batch can ever hit the frame cap and poison the
+    /// connection. Batches are carved off by moving (no per-record
+    /// clone); the ranges tile the records front to back. Each batch is
+    /// queued as its own frame, which is what lets batches of
+    /// concurrently streaming requests interleave on the wire.
+    fn send_records(
         sink: &FrameSink<'_>,
         counters: &Counters,
         trace: &Option<Trace>,
-        records: Vec<T>,
-        make: impl Fn(Vec<T>) -> Response,
+        records: Records,
     ) -> Result<(), CatalogError> {
-        let _span = trace.as_ref().map(|t| t.span("stream"));
-        let total = records.len() as u64;
-        let ranges = wire::batch_ranges(&records, BATCH_RECORDS, wire::MAX_BATCH_BYTES);
-        let mut records = records;
-        for range in ranges {
-            let rest = records.split_off(range.len());
-            let batch = std::mem::replace(&mut records, rest);
-            sink.send(&make(batch))?;
+        fn stream<T: seaice::artifact::Codec>(
+            sink: &FrameSink<'_>,
+            counters: &Counters,
+            trace: &Option<Trace>,
+            mut records: Vec<T>,
+            make: impl Fn(Vec<T>) -> Response,
+        ) -> Result<(), CatalogError> {
+            let _span = trace.as_ref().map(|t| t.span("stream"));
+            let total = records.len() as u64;
+            for range in wire::batch_ranges(&records, BATCH_RECORDS, wire::MAX_BATCH_BYTES) {
+                let rest = records.split_off(range.len());
+                let batch = std::mem::replace(&mut records, rest);
+                sink.send(&make(batch))?;
+            }
+            counters.records_streamed.add(total);
+            sink.send(&Response::Done { n_records: total })
         }
-        counters.records_streamed.add(total);
-        sink.send(&Response::Done { n_records: total })
+        match records {
+            Records::Tiles(r) => stream(sink, counters, trace, r, Response::TileBatch),
+            Records::Layers(layers) => {
+                let records = layers
+                    .into_iter()
+                    .flat_map(|(t, partials)| partials.into_iter().map(move |p| (t, p)))
+                    .collect();
+                stream(sink, counters, trace, records, Response::LayerBatch)
+            }
+            Records::Cells(r) => stream(sink, counters, trace, r, Response::CellBatch),
+            Records::Point(cell) => sink.send(&Response::Point(cell)),
+            Records::Stats { stats, layers } => sink.send(&Response::Stats { stats, layers }),
+            Records::Checked(n_records) => sink.send(&Response::Done { n_records }),
+        }
     }
 
     /// Converts a catalog-side failure into an error frame.
@@ -983,11 +971,6 @@ fn respond(
         })
     }
 
-    /// Opens a `"query"` span for the catalog-access phase.
-    fn query_span(trace: &Option<Trace>) -> Option<seaice_obs::SpanGuard> {
-        trace.as_ref().map(|t| t.span("query"))
-    }
-
     /// Refuses a write RPC on a read-only server.
     fn read_only(sink: &FrameSink<'_>, counters: &Counters) -> Result<(), CatalogError> {
         counters.errors.inc();
@@ -999,76 +982,6 @@ fn respond(
 
     match request {
         Request::Manifest => sink.send(&Response::Manifest(*catalog.grid())),
-        Request::QueryRect { rect, time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_rect_partials(&rect, time, &scope)
-            };
-            match queried {
-                Ok(partials) => {
-                    stream_batches(sink, counters, trace, partials, Response::TileBatch)
-                }
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::QueryBbox { bbox, time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_bbox_partials(&bbox, time, &scope)
-            };
-            match queried {
-                Ok(partials) => {
-                    stream_batches(sink, counters, trace, partials, Response::TileBatch)
-                }
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::QueryPoint { point, time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_point_scoped(point, time, &scope)
-            };
-            match queried {
-                Ok(cell) => sink.send(&Response::Point(cell)),
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::QueryTimeRange { time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_time_range_partials(time, &scope)
-            };
-            match queried {
-                Ok(layers) => {
-                    let records: Vec<(crate::grid::TimeKey, crate::store::TilePartial)> = layers
-                        .into_iter()
-                        .flat_map(|(t, partials)| partials.into_iter().map(move |p| (t, p)))
-                        .collect();
-                    stream_batches(sink, counters, trace, records, Response::LayerBatch)
-                }
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::QueryCells { rect, time, scope } => {
-            let queried = {
-                let _span = query_span(trace);
-                catalog.query_cells_scoped(&rect, time, &scope)
-            };
-            match queried {
-                Ok(cells) => stream_batches(sink, counters, trace, cells, Response::CellBatch),
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::Stats { scope } => {
-            let (stats, layers) = catalog.scoped_stats(&scope);
-            sink.send(&Response::Stats { stats, layers })
-        }
-        Request::Validate { scope } => match catalog.validate_scoped(&scope) {
-            Ok(checked) => sink.send(&Response::Done {
-                n_records: checked as u64,
-            }),
-            Err(e) => fail(sink, counters, e),
-        },
         // No catalog access: a ping must stay cheap and answerable even
         // when the store is busy — it measures the serve path, not the
         // query path.
@@ -1114,6 +1027,18 @@ fn respond(
             };
             match merged {
                 Ok(report) => sink.send(&Response::Ingested(report)),
+                Err(e) => fail(sink, counters, e),
+            }
+        }
+        // Every query-path request: the catalog executes it, the
+        // answer streams back as records.
+        query => {
+            let executed = {
+                let _span = trace.as_ref().map(|t| t.span("query"));
+                catalog.execute(&query)
+            };
+            match executed {
+                Ok(records) => send_records(sink, counters, trace, records),
                 Err(e) => fail(sink, counters, e),
             }
         }

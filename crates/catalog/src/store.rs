@@ -50,6 +50,7 @@ use sparklite::StageReport;
 use crate::cache::{CacheStats, TileCache, TileKey};
 use crate::grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
 use crate::tile::{CatalogManifest, CellAggregate, LayerLedger, LayerPartial, SampleRecord, Tile};
+use crate::wire::{Records, Request};
 use crate::CatalogError;
 use seaice::artifact::{ArtifactError, Codec, Reader, Writer};
 
@@ -61,8 +62,7 @@ struct IndexEntry {
     version: u64,
     /// Samples in that version.
     n_samples: u64,
-    /// Thickness-bearing samples in that version (0 for tiles last
-    /// persisted in format v1/v2 — the peek header defaults it).
+    /// Thickness-bearing samples in that version.
     n_thickness: u64,
 }
 
@@ -220,7 +220,7 @@ pub struct QuerySummary {
     /// (deduplicated across temporal layers, like `n_tiles`).
     pub n_cells: usize,
     /// Matched thickness-bearing samples (`thickness_sigma_m > 0`;
-    /// format-v2-era samples and open water never bear thickness).
+    /// freeboard-only samples and open water never bear thickness).
     pub n_thickness: usize,
     /// Unweighted mean thickness over bearing samples, metres (0 when
     /// none matched).
@@ -471,7 +471,7 @@ pub struct CellSummary {
 }
 
 /// Catalog-wide counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CatalogStats {
     /// Temporal layers present.
     pub n_layers: usize,
@@ -480,7 +480,7 @@ pub struct CatalogStats {
     /// Total samples stored.
     pub n_samples: usize,
     /// Thickness-bearing samples stored (0 until a thickness product
-    /// is ingested; tiles persisted before format v3 count 0).
+    /// is ingested).
     pub n_thickness: usize,
     /// Read-cache counters.
     pub cache: CacheStats,
@@ -1387,6 +1387,41 @@ impl Catalog {
 
     // -- Queries -------------------------------------------------------
 
+    /// Answers one query-path request — the five queries, `Stats`, and
+    /// `Validate` — restricted to the request's [`TileScope`]: the one
+    /// place a request kind meets the engine. The server streams the
+    /// returned [`Records`]; the typed methods below fold them with the
+    /// same `Records::into_*` the client and the shard router use.
+    /// Requests outside the query path are a typed protocol error.
+    pub fn execute(&self, request: &Request) -> Result<Records, CatalogError> {
+        let keys = |time: &TimeRange, scope| {
+            self.keys_in(*time, request.footprint(&self.grid).as_deref(), scope)
+        };
+        Ok(match request {
+            Request::QueryRect { rect, time, scope } => {
+                Records::Tiles(self.partials(keys(time, scope), Region::Rect(rect))?)
+            }
+            Request::QueryBbox { bbox, time, scope } => {
+                Records::Tiles(self.partials(keys(time, scope), Region::Bbox(bbox))?)
+            }
+            Request::QueryPoint { point, time, scope } => {
+                Records::Point(self.point_cell(*point, *time, scope)?)
+            }
+            Request::QueryTimeRange { time, scope } => {
+                Records::Layers(self.layer_partials(keys(time, scope))?)
+            }
+            Request::QueryCells { rect, time, scope } => {
+                Records::Cells(self.composite(rect, keys(time, scope))?)
+            }
+            Request::Stats { scope } => {
+                let (stats, layers) = self.scoped_stats(scope);
+                Records::Stats { stats, layers }
+            }
+            Request::Validate { scope } => Records::Checked(self.validate_scoped(scope)? as u64),
+            other => return Err(crate::wire::not_a_query(other)),
+        })
+    }
+
     /// Summary of every sample whose projected position falls in `rect`
     /// within the time range.
     pub fn query_rect(
@@ -1394,11 +1429,8 @@ impl Catalog {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        Ok(QuerySummary::from_partials(self.query_rect_partials(
-            rect,
-            time,
-            &TileScope::all(),
-        )?))
+        let partials = self.query_rect_partials(rect, time, &TileScope::all())?;
+        Ok(QuerySummary::from_partials(partials))
     }
 
     /// The per-tile partials behind [`Catalog::query_rect`], restricted
@@ -1409,12 +1441,13 @@ impl Catalog {
         time: TimeRange,
         scope: &TileScope,
     ) -> Result<Vec<TilePartial>, CatalogError> {
-        let mut candidates = self.grid.tiles_overlapping(rect);
-        candidates.sort_unstable();
-        self.partials(
-            self.keys_in(time, Some(&candidates), scope),
-            Region::Rect(rect),
-        )
+        let scope = scope.clone();
+        self.execute(&Request::QueryRect {
+            rect: *rect,
+            time,
+            scope,
+        })?
+        .into_tiles()
     }
 
     /// Summary of every sample inside a geographic bounding box within
@@ -1425,11 +1458,8 @@ impl Catalog {
         bbox: &BoundingBox,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        Ok(QuerySummary::from_partials(self.query_bbox_partials(
-            bbox,
-            time,
-            &TileScope::all(),
-        )?))
+        let partials = self.query_bbox_partials(bbox, time, &TileScope::all())?;
+        Ok(QuerySummary::from_partials(partials))
     }
 
     /// The per-tile partials behind [`Catalog::query_bbox`], restricted
@@ -1440,13 +1470,13 @@ impl Catalog {
         time: TimeRange,
         scope: &TileScope,
     ) -> Result<Vec<TilePartial>, CatalogError> {
-        let cover = self.grid.bbox_cover(bbox);
-        let mut candidates = self.grid.tiles_overlapping(&cover);
-        candidates.sort_unstable();
-        self.partials(
-            self.keys_in(time, Some(&candidates), scope),
-            Region::Bbox(bbox),
-        )
+        let scope = scope.clone();
+        self.execute(&Request::QueryBbox {
+            bbox: *bbox,
+            time,
+            scope,
+        })?
+        .into_tiles()
     }
 
     /// The aggregated cell under a geographic point, `None` when the
@@ -1463,6 +1493,98 @@ impl Catalog {
     /// [`Catalog::query_point`] restricted to `scope` (`None` when the
     /// owning tile is outside the scope).
     pub fn query_point_scoped(
+        &self,
+        point: GeoPoint,
+        time: TimeRange,
+        scope: &TileScope,
+    ) -> Result<Option<CellSummary>, CatalogError> {
+        let scope = scope.clone();
+        self.execute(&Request::QueryPoint { point, time, scope })?
+            .into_point()
+    }
+
+    /// Per-layer whole-domain summaries over the range, chronological.
+    pub fn query_time_range(
+        &self,
+        time: TimeRange,
+    ) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
+        let scope = TileScope::all();
+        self.execute(&Request::QueryTimeRange { time, scope })?
+            .into_layers()
+    }
+
+    /// The per-layer, per-tile partials behind
+    /// [`Catalog::query_time_range`], restricted to `scope`,
+    /// chronological.
+    pub fn query_time_range_partials(
+        &self,
+        time: TimeRange,
+        scope: &TileScope,
+    ) -> Result<Vec<(TimeKey, Vec<TilePartial>)>, CatalogError> {
+        let scope = scope.clone();
+        self.execute(&Request::QueryTimeRange { time, scope })?
+            .into_layer_partials()
+    }
+
+    /// The gridded composite: per-cell aggregates over `rect`, layers in
+    /// range merged chronologically, sorted by `(tile, cell)`.
+    ///
+    /// Membership is by **cell centre**: a cell belongs to the composite
+    /// iff its centre lies in `rect`, and then contributes its *whole*
+    /// aggregate — so on rect boundaries this intentionally differs from
+    /// [`Catalog::query_rect`], which filters individual samples exactly
+    /// (composites are cell-resolution products; summaries are
+    /// sample-resolution).
+    pub fn query_cells(
+        &self,
+        rect: &MapRect,
+        time: TimeRange,
+    ) -> Result<Vec<CellSummary>, CatalogError> {
+        self.query_cells_scoped(rect, time, &TileScope::all())
+    }
+
+    /// [`Catalog::query_cells`] restricted to `scope`. Cells of one tile
+    /// merge their layers chronologically, so as long as a scope keeps
+    /// all of a tile's layers together (scopes are purely spatial — they
+    /// always do) shard results concatenate without any numeric merge.
+    pub fn query_cells_scoped(
+        &self,
+        rect: &MapRect,
+        time: TimeRange,
+        scope: &TileScope,
+    ) -> Result<Vec<CellSummary>, CatalogError> {
+        let scope = scope.clone();
+        self.execute(&Request::QueryCells {
+            rect: *rect,
+            time,
+            scope,
+        })?
+        .into_cells()
+    }
+
+    /// Catalog-wide counters, read straight off the authoritative index
+    /// — O(index), no tile decodes, no cache pollution. Across
+    /// successive calls the totals are monotone non-decreasing while
+    /// merge-only ingest runs (index entries only grow, under writer
+    /// shard locks); an [`IngestMode::Replace`] may legitimately shrink
+    /// them when the refreshed product carries fewer samples.
+    pub fn stats(&self) -> Result<CatalogStats, CatalogError> {
+        let scope = TileScope::all();
+        self.execute(&Request::Stats { scope })?.into_stats()
+    }
+
+    /// Full scan validating every tile's internal invariants — sorted
+    /// samples, aggregates consistent with samples.
+    pub fn validate(&self) -> Result<(), CatalogError> {
+        let scope = TileScope::all();
+        self.execute(&Request::Validate { scope })?
+            .into_checked()
+            .map(|_| ())
+    }
+
+    /// The point probe behind [`Catalog::execute`]: the cell under `p`,
+    /// layers in range merged chronologically.
+    fn point_cell(
         &self,
         p: GeoPoint,
         time: TimeRange,
@@ -1494,80 +1616,30 @@ impl Catalog {
         }))
     }
 
-    /// Per-layer whole-domain summaries over the range, chronological.
-    pub fn query_time_range(
+    /// Per-tile partials of `keys`, each layer reduced on its own; every
+    /// layer with keys is listed.
+    fn layer_partials(
         &self,
-        time: TimeRange,
-    ) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
-        Ok(self
-            .query_time_range_partials(time, &TileScope::all())?
-            .into_iter()
-            .map(|(t, partials)| (t, QuerySummary::from_partials(partials)))
-            .collect())
-    }
-
-    /// The per-layer, per-tile partials behind
-    /// [`Catalog::query_time_range`], restricted to `scope`,
-    /// chronological.
-    pub fn query_time_range_partials(
-        &self,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<(TimeKey, Vec<TilePartial>)>, CatalogError> {
-        let keys = self.keys_in(time, None, scope);
-        let mut out: Vec<(TimeKey, Vec<TilePartial>)> = Vec::new();
-        let mut run: Vec<TileKey> = Vec::new();
-        let flush = |run: &mut Vec<TileKey>,
-                     out: &mut Vec<(TimeKey, Vec<TilePartial>)>|
-         -> Result<(), CatalogError> {
-            if let Some(first) = run.first() {
-                let time = first.time;
-                let partials = self.partials(std::mem::take(run), Region::All)?;
-                out.push((time, partials));
-            }
-            Ok(())
-        };
+        keys: Vec<TileKey>,
+    ) -> Result<BTreeMap<TimeKey, Vec<TilePartial>>, CatalogError> {
+        let mut layers: BTreeMap<TimeKey, Vec<TileKey>> = BTreeMap::new();
         for key in keys {
-            if run.first().is_some_and(|f| f.time != key.time) {
-                flush(&mut run, &mut out)?;
-            }
-            run.push(key);
+            layers.entry(key.time).or_default().push(key);
         }
-        flush(&mut run, &mut out)?;
-        Ok(out)
+        layers
+            .into_iter()
+            .map(|(time, keys)| Ok((time, self.partials(keys, Region::All)?)))
+            .collect()
     }
 
-    /// The gridded composite: per-cell aggregates over `rect`, layers in
-    /// range merged chronologically, sorted by `(tile, cell)`.
-    ///
-    /// Membership is by **cell centre**: a cell belongs to the composite
-    /// iff its centre lies in `rect`, and then contributes its *whole*
-    /// aggregate — so on rect boundaries this intentionally differs from
-    /// [`Catalog::query_rect`], which filters individual samples exactly
-    /// (composites are cell-resolution products; summaries are
-    /// sample-resolution).
-    pub fn query_cells(
+    /// The composite behind [`Catalog::query_cells`] over `keys`.
+    fn composite(
         &self,
         rect: &MapRect,
-        time: TimeRange,
+        keys: Vec<TileKey>,
     ) -> Result<Vec<CellSummary>, CatalogError> {
-        self.query_cells_scoped(rect, time, &TileScope::all())
-    }
-
-    /// [`Catalog::query_cells`] restricted to `scope`. Cells of one tile
-    /// merge their layers chronologically, so as long as a scope keeps
-    /// all of a tile's layers together (scopes are purely spatial — they
-    /// always do) shard results concatenate without any numeric merge.
-    pub fn query_cells_scoped(
-        &self,
-        rect: &MapRect,
-        time: TimeRange,
-        scope: &TileScope,
-    ) -> Result<Vec<CellSummary>, CatalogError> {
-        let mut candidates = self.grid.tiles_overlapping(rect);
-        candidates.sort_unstable();
         let mut merged: BTreeMap<(TileId, u32), CellAggregate> = BTreeMap::new();
-        for key in self.keys_in(time, Some(&candidates), scope) {
+        for key in keys {
             let Some(snapshot) = self.load_tile(&key)? else {
                 continue;
             };
@@ -1592,20 +1664,10 @@ impl Catalog {
             .collect())
     }
 
-    /// Catalog-wide counters, read straight off the authoritative index
-    /// — O(index), no tile decodes, no cache pollution. Across
-    /// successive calls the totals are monotone non-decreasing while
-    /// merge-only ingest runs (index entries only grow, under writer
-    /// shard locks); an [`IngestMode::Replace`] may legitimately shrink
-    /// them when the refreshed product carries fewer samples.
-    pub fn stats(&self) -> Result<CatalogStats, CatalogError> {
-        Ok(self.scoped_stats(&TileScope::all()).0)
-    }
-
-    /// [`Catalog::stats`] restricted to `scope`, plus the scoped layer
-    /// list (chronological) — shard servers return both so the router
-    /// can merge layer sets exactly.
-    pub fn scoped_stats(&self, scope: &TileScope) -> (CatalogStats, Vec<TimeKey>) {
+    /// Store counters restricted to `scope`, plus the scoped layer list
+    /// (chronological) — shard servers return both so the router can
+    /// merge layer sets exactly.
+    fn scoped_stats(&self, scope: &TileScope) -> (CatalogStats, Vec<TimeKey>) {
         let index = self.index.read().unwrap_or_else(|e| e.into_inner());
         let mut n_samples = 0usize;
         let mut n_thickness = 0usize;
@@ -1634,15 +1696,8 @@ impl Catalog {
         )
     }
 
-    /// Full scan validating every tile's internal invariants — sorted
-    /// samples, aggregates consistent with samples.
-    pub fn validate(&self) -> Result<(), CatalogError> {
-        self.validate_scoped(&TileScope::all()).map(|_| ())
-    }
-
-    /// [`Catalog::validate`] restricted to `scope`; returns the number
-    /// of tiles checked.
-    pub fn validate_scoped(&self, scope: &TileScope) -> Result<usize, CatalogError> {
+    /// Validates every tile in `scope`; returns the number checked.
+    fn validate_scoped(&self, scope: &TileScope) -> Result<usize, CatalogError> {
         let mut checked = 0usize;
         for key in self.keys_in(TimeRange::all(), None, scope) {
             let Some(snapshot) = self.load_tile(&key)? else {

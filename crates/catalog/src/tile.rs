@@ -11,8 +11,7 @@
 //! built from the same granules in any order answer queries bit
 //! identically.
 //!
-//! Format v2 (`SIT1` v2, decoding v1 transparently) adds two sections
-//! after the samples:
+//! After the samples (`SIT1` v3) a tile carries two more sections:
 //!
 //! - the **ledger**: the sorted stable source ids (`(granule, beam)`
 //!   FNV hashes) whose samples this tile holds — what lets a re-ingest
@@ -25,23 +24,22 @@
 //!   canonical order, so a tile keeps answering cell/point queries bit
 //!   identically after its segment-level detail is retired.
 //!
-//! Format v3 (decoding v1 and v2 transparently) carries the thickness
-//! product family:
+//! The format carries the thickness product family:
 //!
-//! - every [`SampleRecord`] gains `thickness_m` / `thickness_sigma_m`
+//! - every [`SampleRecord`] has `thickness_m` / `thickness_sigma_m`
 //!   fields. A sample **bears** thickness iff `thickness_sigma_m > 0`
 //!   (every real retrieval has a positive σ; see `seaice-products`) —
-//!   freeboard-only ingests and decoded v1/v2 records carry `0/0`,
-//!   the documented "absent/zeroed" encoding;
-//! - every [`CellAggregate`] gains thickness statistics over bearing
+//!   freeboard-only ingests carry `0/0`, the documented "absent"
+//!   encoding;
+//! - every [`CellAggregate`] has thickness statistics over bearing
 //!   samples: count/sum (plain mean), inverse-variance weights (IVW
 //!   mean + combined σ), and a nearest-rank p95;
-//! - the tile header gains a bearing-sample count (`n_thickness`) so
-//!   the store index can answer thickness stats without decoding
-//!   payloads.
+//! - the tile header has a bearing-sample count (`n_thickness`) so the
+//!   store index can answer thickness stats without decoding payloads.
 //!
-//! v1/v2 buffers decode with zeroed thickness and upgrade in place on
-//! the next persist, exactly as the v1 → v2 migration did.
+//! Only the current format decodes: a file of any other version fails
+//! with a typed [`ArtifactError::BadVersion`] (see DESIGN.md, "Current
+//! format only").
 //!
 //! Live cell aggregates remain derived data rebuilt on decode, which
 //! doubles as a consistency check. So is the tile's `LayerPartial`
@@ -81,8 +79,7 @@ pub struct SampleRecord {
     /// Retrieved ice thickness, metres (0 when not thickness-bearing).
     pub thickness_m: f64,
     /// 1-σ thickness uncertainty, metres. `> 0` iff the sample bears a
-    /// retrieved thickness; freeboard-only ingests and v1/v2 decodes
-    /// carry 0.
+    /// retrieved thickness; freeboard-only ingests carry 0.
     pub thickness_sigma_m: f64,
 }
 
@@ -102,8 +99,7 @@ impl SampleRecord {
 
     /// The canonical total order tiles are sorted by. Every field
     /// participates, so ties are byte-identical records and any sort
-    /// produces the same sequence. The thickness fields compare last:
-    /// v2-era records (both zero) order exactly as they did before v3.
+    /// produces the same sequence.
     pub fn canonical_cmp(a: &SampleRecord, b: &SampleRecord) -> std::cmp::Ordering {
         a.source
             .cmp(&b.source)
@@ -117,30 +113,6 @@ impl SampleRecord {
             .then_with(|| a.y_m.total_cmp(&b.y_m))
             .then_with(|| a.thickness_m.total_cmp(&b.thickness_m))
             .then_with(|| a.thickness_sigma_m.total_cmp(&b.thickness_sigma_m))
-    }
-
-    /// Format-aware decode: a v1/v2 record is a strict byte prefix of a
-    /// v3 record, with the thickness fields reading as zeroed (the
-    /// "absent" encoding).
-    fn decode_format(r: &mut Reader<'_>, format: u16) -> Result<Self, ArtifactError> {
-        let mut s = SampleRecord {
-            source: r.take_u64()?,
-            along_track_m: r.take_f64()?,
-            lat: r.take_f64()?,
-            lon: r.take_f64()?,
-            x_m: r.take_f64()?,
-            y_m: r.take_f64()?,
-            freeboard_m: r.take_f64()?,
-            class: SurfaceClass::decode(r)?,
-            cell: r.take_u32()?,
-            thickness_m: 0.0,
-            thickness_sigma_m: 0.0,
-        };
-        if format >= 3 {
-            s.thickness_m = r.take_f64()?;
-            s.thickness_sigma_m = r.take_f64()?;
-        }
-        Ok(s)
     }
 }
 
@@ -159,7 +131,19 @@ impl Codec for SampleRecord {
         w.put_f64(self.thickness_sigma_m);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        SampleRecord::decode_format(r, Tile::VERSION)
+        Ok(SampleRecord {
+            source: r.take_u64()?,
+            along_track_m: r.take_f64()?,
+            lat: r.take_f64()?,
+            lon: r.take_f64()?,
+            x_m: r.take_f64()?,
+            y_m: r.take_f64()?,
+            freeboard_m: r.take_f64()?,
+            class: SurfaceClass::decode(r)?,
+            cell: r.take_u32()?,
+            thickness_m: r.take_f64()?,
+            thickness_sigma_m: r.take_f64()?,
+        })
     }
 }
 
@@ -286,32 +270,6 @@ impl CellAggregate {
         }
         SurfaceClass::from_index(best).expect("index in 0..3")
     }
-
-    /// Format-aware decode: v1/v2 aggregates read with zeroed thickness
-    /// statistics.
-    fn decode_format(r: &mut Reader<'_>, format: u16) -> Result<Self, ArtifactError> {
-        let mut agg = CellAggregate {
-            n: r.take_u64()?,
-            class_counts: <[u64; 3]>::decode(r)?,
-            ice_n: r.take_u64()?,
-            ice_sum_m: r.take_f64()?,
-            min_freeboard_m: r.take_f64()?,
-            max_freeboard_m: r.take_f64()?,
-            t_n: 0,
-            t_sum_m: 0.0,
-            t_w_sum: 0.0,
-            t_wt_sum: 0.0,
-            t_p95_m: 0.0,
-        };
-        if format >= 3 {
-            agg.t_n = r.take_u64()?;
-            agg.t_sum_m = r.take_f64()?;
-            agg.t_w_sum = r.take_f64()?;
-            agg.t_wt_sum = r.take_f64()?;
-            agg.t_p95_m = r.take_f64()?;
-        }
-        Ok(agg)
-    }
 }
 
 impl Codec for CellAggregate {
@@ -329,7 +287,19 @@ impl Codec for CellAggregate {
         w.put_f64(self.t_p95_m);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        CellAggregate::decode_format(r, Tile::VERSION)
+        Ok(CellAggregate {
+            n: r.take_u64()?,
+            class_counts: <[u64; 3]>::decode(r)?,
+            ice_n: r.take_u64()?,
+            ice_sum_m: r.take_f64()?,
+            min_freeboard_m: r.take_f64()?,
+            max_freeboard_m: r.take_f64()?,
+            t_n: r.take_u64()?,
+            t_sum_m: r.take_f64()?,
+            t_w_sum: r.take_f64()?,
+            t_wt_sum: r.take_f64()?,
+            t_p95_m: r.take_f64()?,
+        })
     }
 }
 
@@ -711,107 +681,6 @@ impl Tile {
         }
         Ok(())
     }
-
-    fn decode_body(r: &mut Reader<'_>, format: u16) -> Result<Self, ArtifactError> {
-        let id = TileId::decode(r)?;
-        let time = TimeKey::decode(r)?;
-        let version = r.take_u64()?;
-        // v3 headers carry the bearing-sample count before the samples
-        // (so `peek` can index it); validated against the payload below.
-        let n_thickness = if format >= 3 {
-            Some(r.take_u64()?)
-        } else {
-            None
-        };
-        let n = usize::decode(r)?;
-        if n > r.remaining() {
-            return Err(ArtifactError::Truncated);
-        }
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let s = SampleRecord::decode_format(r, format)?;
-            if s.cell >= MAX_CELLS {
-                return Err(ArtifactError::Invalid("sample cell beyond any grid"));
-            }
-            samples.push(s);
-        }
-        if let Some(expected) = n_thickness {
-            let counted = samples.iter().filter(|s| s.bears_thickness()).count() as u64;
-            if counted != expected {
-                return Err(ArtifactError::Invalid(
-                    "header thickness count inconsistent with samples",
-                ));
-            }
-        }
-        if !samples
-            .windows(2)
-            .all(|w| SampleRecord::canonical_cmp(&w[0], &w[1]) != std::cmp::Ordering::Greater)
-        {
-            return Err(ArtifactError::Invalid("tile samples out of order"));
-        }
-        let (ledger, base) = match format {
-            // v1 (pre-ledger): the sources are exactly the samples', no
-            // frozen base. Upgraded in place on the next persist.
-            1 => {
-                let sources: BTreeSet<u64> = samples.iter().map(|s| s.source).collect();
-                (sources.into_iter().collect(), BTreeMap::new())
-            }
-            _ => {
-                let ledger: Vec<u64> = Vec::decode(r)?;
-                if !ledger.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(ArtifactError::Invalid("tile ledger out of order"));
-                }
-                // Canonical order is source-major, so one pass over the
-                // distinct sample sources validates ledger coverage
-                // without re-folding the aggregates (the rebuild below
-                // already derives them; `check_consistency` remains the
-                // full audit for `validate()`).
-                let mut n_sources = 0usize;
-                let mut last: Option<u64> = None;
-                for s in &samples {
-                    if last != Some(s.source) {
-                        last = Some(s.source);
-                        n_sources += 1;
-                        if ledger.binary_search(&s.source).is_err() {
-                            return Err(ArtifactError::Invalid(
-                                "sample source missing from ledger",
-                            ));
-                        }
-                    }
-                }
-                let n_base = usize::decode(r)?;
-                if n_base > r.remaining() {
-                    return Err(ArtifactError::Truncated);
-                }
-                let mut base_cells: Vec<(u32, CellAggregate)> = Vec::with_capacity(n_base);
-                for _ in 0..n_base {
-                    let cell = r.take_u32()?;
-                    base_cells.push((cell, CellAggregate::decode_format(r, format)?));
-                }
-                if !base_cells.windows(2).all(|w| w[0].0 < w[1].0) {
-                    return Err(ArtifactError::Invalid("tile base cells out of order"));
-                }
-                if base_cells.is_empty() && ledger.len() != n_sources {
-                    return Err(ArtifactError::Invalid(
-                        "ledger lists a source with no samples and no base",
-                    ));
-                }
-                (ledger, base_cells.into_iter().collect())
-            }
-        };
-        let mut tile = Tile {
-            id,
-            time,
-            version,
-            samples,
-            ledger,
-            base,
-            cells: BTreeMap::new(),
-            partial: LayerPartial::new(id, 0),
-        };
-        tile.rebuild_cells();
-        Ok(tile)
-    }
 }
 
 impl Codec for Tile {
@@ -827,29 +696,83 @@ impl Codec for Tile {
         base_cells.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        Tile::decode_body(r, Self::VERSION)
+        let id = TileId::decode(r)?;
+        let time = TimeKey::decode(r)?;
+        let version = r.take_u64()?;
+        // The header carries the bearing-sample count before the
+        // samples (so `peek` can index it); validated against the
+        // payload below.
+        let n_thickness = r.take_u64()?;
+        let n = usize::decode(r)?;
+        if n > r.remaining() {
+            return Err(ArtifactError::Truncated);
+        }
+        let mut samples = Vec::with_capacity(n);
+        for _ in 0..n {
+            let s = SampleRecord::decode(r)?;
+            if s.cell >= MAX_CELLS {
+                return Err(ArtifactError::Invalid("sample cell beyond any grid"));
+            }
+            samples.push(s);
+        }
+        let counted = samples.iter().filter(|s| s.bears_thickness()).count() as u64;
+        if counted != n_thickness {
+            return Err(ArtifactError::Invalid(
+                "header thickness count inconsistent with samples",
+            ));
+        }
+        if !samples
+            .windows(2)
+            .all(|w| SampleRecord::canonical_cmp(&w[0], &w[1]) != std::cmp::Ordering::Greater)
+        {
+            return Err(ArtifactError::Invalid("tile samples out of order"));
+        }
+        let ledger: Vec<u64> = Vec::decode(r)?;
+        if !ledger.windows(2).all(|w| w[0] < w[1]) {
+            return Err(ArtifactError::Invalid("tile ledger out of order"));
+        }
+        // Canonical order is source-major, so one pass over the distinct
+        // sample sources validates ledger coverage without re-folding the
+        // aggregates (the rebuild below already derives them;
+        // `check_consistency` remains the full audit for `validate()`).
+        let mut n_sources = 0usize;
+        let mut last: Option<u64> = None;
+        for s in &samples {
+            if last != Some(s.source) {
+                last = Some(s.source);
+                n_sources += 1;
+                if ledger.binary_search(&s.source).is_err() {
+                    return Err(ArtifactError::Invalid("sample source missing from ledger"));
+                }
+            }
+        }
+        let base_cells: Vec<(u32, CellAggregate)> = Vec::decode(r)?;
+        if !base_cells.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(ArtifactError::Invalid("tile base cells out of order"));
+        }
+        if base_cells.is_empty() && ledger.len() != n_sources {
+            return Err(ArtifactError::Invalid(
+                "ledger lists a source with no samples and no base",
+            ));
+        }
+        let mut tile = Tile {
+            id,
+            time,
+            version,
+            samples,
+            ledger,
+            base: base_cells.into_iter().collect(),
+            cells: BTreeMap::new(),
+            partial: LayerPartial::new(id, 0),
+        };
+        tile.rebuild_cells();
+        Ok(tile)
     }
 }
 
 impl Artifact for Tile {
     const TAG: [u8; 4] = *b"SIT1";
     const VERSION: u16 = 3;
-
-    /// Backward-compatible decode: accepts v1 (pre-ledger) and v2
-    /// (pre-thickness) tiles; v1 ledgers are reconstructed from the
-    /// samples, v2 thickness fields read as zeroed.
-    fn from_bytes(data: &[u8]) -> Result<Self, ArtifactError> {
-        let mut r = Reader::new(data);
-        let tag = r.take_slice(4)?;
-        if tag != Self::TAG {
-            return Err(ArtifactError::BadMagic);
-        }
-        let format = r.take_u16()?;
-        if format == 0 || format > Self::VERSION {
-            return Err(ArtifactError::BadVersion(format));
-        }
-        Tile::decode_body(&mut r, format)
-    }
 }
 
 /// Header of a persisted tile, readable without decoding samples.
@@ -863,24 +786,20 @@ pub struct TileHeader {
     pub version: u64,
     /// Stored sample count.
     pub n_samples: u64,
-    /// Thickness-bearing sample count (0 for v1/v2 files).
+    /// Thickness-bearing sample count.
     pub n_thickness: u64,
 }
 
 impl Tile {
     /// Reads only the framed header of a tile file. The catalog uses
     /// this to bootstrap its authoritative version/size index on open
-    /// without decoding any sample payload. Every format version keeps
-    /// this prefix peekable: v2 appends its ledger and base *after* the
-    /// samples, v3 additionally slots its bearing-sample count into the
-    /// header itself (between the merge counter and the sample length).
+    /// without decoding any sample payload; a file of another format
+    /// version fails here, typed, so a store holding one never opens.
     pub fn peek(path: &std::path::Path) -> Result<TileHeader, ArtifactError> {
         use std::io::Read;
         // tag(4) + format version(2) + id(9) + time(3) + merge
-        // counter(8) [+ thickness count(8), v3] + sample-vec length(8):
-        // 42 bytes covers the v3 header, older formats need only 34 —
-        // the bounded short read keeps a minimal (34-byte) v1 file
-        // peekable and turns genuinely truncated files into `Truncated`.
+        // counter(8) + thickness count(8) + sample-vec length(8); the
+        // bounded short read turns a truncated file into `Truncated`.
         let mut buf = Vec::with_capacity(42);
         Read::take(std::fs::File::open(path)?, 42).read_to_end(&mut buf)?;
         let mut r = Reader::new(&buf);
@@ -889,30 +808,24 @@ impl Tile {
             return Err(ArtifactError::BadMagic);
         }
         let format = r.take_u16()?;
-        if format == 0 || format > Self::VERSION {
+        if format != Self::VERSION {
             return Err(ArtifactError::BadVersion(format));
         }
-        let id = TileId::decode(&mut r)?;
-        let time = TimeKey::decode(&mut r)?;
-        let version = r.take_u64()?;
-        let n_thickness = if format >= 3 { r.take_u64()? } else { 0 };
         Ok(TileHeader {
-            id,
-            time,
-            version,
+            id: TileId::decode(&mut r)?,
+            time: TimeKey::decode(&mut r)?,
+            version: r.take_u64()?,
+            n_thickness: r.take_u64()?,
             n_samples: r.take_u64()?,
-            n_thickness,
         })
     }
 }
 
 /// The catalog manifest: pins the grid every tile was addressed with.
 ///
-/// Format v2 signals that the directory may hold v2 (ledger-carrying)
-/// tiles and per-layer ledger sidecars, v3 that it may hold v3
-/// (thickness-carrying) tiles — so an older build fails fast at open
-/// instead of per tile. The body is unchanged across versions and v1/v2
-/// manifests still decode.
+/// Its version tracks the tile format (`SICM` v3 ↔ `SIT1` v3), so a
+/// build opening a store of another format fails fast at open instead
+/// of per tile.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogManifest {
     /// The catalog's tiling.
@@ -933,20 +846,6 @@ impl Codec for CatalogManifest {
 impl Artifact for CatalogManifest {
     const TAG: [u8; 4] = *b"SICM";
     const VERSION: u16 = 3;
-
-    /// Backward-compatible decode: v1/v2 manifests share the v3 body.
-    fn from_bytes(data: &[u8]) -> Result<Self, ArtifactError> {
-        let mut r = Reader::new(data);
-        let tag = r.take_slice(4)?;
-        if tag != Self::TAG {
-            return Err(ArtifactError::BadMagic);
-        }
-        let format = r.take_u16()?;
-        if format == 0 || format > Self::VERSION {
-            return Err(ArtifactError::BadVersion(format));
-        }
-        Self::decode(&mut r)
-    }
 }
 
 /// Per-layer sidecar ledger (`ledgers/YYYYMM.ledger`, `SISL` v1): the
@@ -1020,20 +919,6 @@ mod tests {
             thickness_sigma_m: sigma,
             ..sample(source, along, fb, SurfaceClass::ThickIce, cell)
         }
-    }
-
-    /// Encodes one sample in the 61-byte v2 layout (no thickness
-    /// fields) — for hand-building legacy buffers.
-    fn encode_v2_record(w: &mut Writer, s: &SampleRecord) {
-        w.put_u64(s.source);
-        w.put_f64(s.along_track_m);
-        w.put_f64(s.lat);
-        w.put_f64(s.lon);
-        w.put_f64(s.x_m);
-        w.put_f64(s.y_m);
-        w.put_f64(s.freeboard_m);
-        s.class.encode(w);
-        w.put_u32(s.cell);
     }
 
     fn batch_a() -> Vec<SampleRecord> {
@@ -1174,7 +1059,7 @@ mod tests {
         assert_eq!(tile.sources(), &ledger_before[..]);
         tile.check_consistency().unwrap();
 
-        // Roundtrip through the v2 format keeps the frozen base.
+        // A roundtrip keeps the frozen base.
         let back = Tile::from_bytes(&tile.to_bytes()).unwrap();
         assert_eq!(back.cells(), &cells_before);
         assert_eq!(back.n_dropped(), 5);
@@ -1185,96 +1070,6 @@ mod tests {
         merged.merge(&[sample(9, 1.0, 0.5, SurfaceClass::ThickIce, 5)]);
         merged.check_consistency().unwrap();
         assert_eq!(merged.cells()[&5].n, cells_before[&5].n + 1);
-    }
-
-    /// A v1 (pre-ledger) tile buffer still decodes: the ledger is
-    /// reconstructed from the samples, and re-encoding upgrades to v2.
-    #[test]
-    fn v1_tile_buffers_decode_with_reconstructed_ledger() {
-        let mut tile = Tile::new(
-            TileId::new(2, 1, 3).unwrap(),
-            TimeKey::new(2019, 11).unwrap(),
-        );
-        tile.merge(&batch_a());
-        tile.merge(&batch_b());
-        // Hand-build the v1 framing: tag, version 1, id, time, merge
-        // counter, 61-byte samples — no ledger, no base, no thickness.
-        let mut w = Writer::new();
-        w.put_slice(b"SIT1");
-        w.put_u16(1);
-        tile.id.encode(&mut w);
-        tile.time.encode(&mut w);
-        w.put_u64(tile.version);
-        w.put_u64(tile.samples().len() as u64);
-        for s in tile.samples() {
-            encode_v2_record(&mut w, s);
-        }
-        let v1_bytes = w.finish();
-
-        let back = Tile::from_bytes(&v1_bytes).unwrap();
-        assert_eq!(back.samples(), tile.samples());
-        assert_eq!(back.cells(), tile.cells());
-        assert_eq!(back.sources(), &[1, 2, 3], "ledger rebuilt from samples");
-        assert!(back.base().is_empty());
-        back.check_consistency().unwrap();
-        // Re-encoding writes the current version.
-        assert_eq!(&back.to_bytes()[4..6], &3u16.to_le_bytes());
-        // Future versions are still rejected.
-        let mut future = v1_bytes.to_vec();
-        future[4..6].copy_from_slice(&4u16.to_le_bytes());
-        assert!(matches!(
-            Tile::from_bytes(&future),
-            Err(ArtifactError::BadVersion(4))
-        ));
-    }
-
-    /// A v2 (pre-thickness) tile buffer decodes with zeroed thickness
-    /// fields and aggregates, and re-encodes as v3 — the in-place
-    /// upgrade the store performs on its next persist.
-    #[test]
-    fn v2_tile_buffers_decode_with_zeroed_thickness() {
-        let mut tile = Tile::new(
-            TileId::new(2, 1, 3).unwrap(),
-            TimeKey::new(2019, 11).unwrap(),
-        );
-        tile.merge(&batch_a());
-        tile.merge(&batch_b());
-        // Hand-build the v2 framing: tag, version 2, id, time, merge
-        // counter, 61-byte samples, ledger, base aggregates (v2 layout,
-        // empty here).
-        let mut w = Writer::new();
-        w.put_slice(b"SIT1");
-        w.put_u16(2);
-        tile.id.encode(&mut w);
-        tile.time.encode(&mut w);
-        w.put_u64(tile.version);
-        w.put_u64(tile.samples().len() as u64);
-        for s in tile.samples() {
-            encode_v2_record(&mut w, s);
-        }
-        tile.sources().to_vec().encode(&mut w);
-        w.put_u64(0); // empty base
-        let v2_bytes = w.finish();
-
-        let back = Tile::from_bytes(&v2_bytes).unwrap();
-        assert_eq!(back.samples(), tile.samples());
-        assert_eq!(back.cells(), tile.cells());
-        assert_eq!(back.sources(), tile.sources());
-        back.check_consistency().unwrap();
-        assert_eq!(back.n_thickness(), 0);
-        for agg in back.cells().values() {
-            assert_eq!(agg.t_n, 0);
-            assert_eq!(agg.mean_thickness_m(), 0.0);
-            assert_eq!(agg.ivw_mean_thickness_m(), 0.0);
-            assert_eq!(agg.thickness_sigma_m(), 0.0);
-            assert_eq!(agg.t_p95_m, 0.0);
-        }
-        // Re-encoding upgrades to v3 and round-trips bit-identically
-        // thereafter.
-        let v3_bytes = back.to_bytes();
-        assert_eq!(&v3_bytes[4..6], &3u16.to_le_bytes());
-        let again = Tile::from_bytes(&v3_bytes).unwrap();
-        assert_eq!(again.to_bytes(), v3_bytes);
     }
 
     /// Thickness aggregates: canonical-order sums, IVW combination, and

@@ -46,17 +46,20 @@
 //!   pipelines (at most one id in flight) observes exactly the v1
 //!   behaviour.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 
-use icesat_geo::{BoundingBox, GeoPoint};
+use icesat_geo::{BoundingBox, GeoPoint, EPSG_3976};
 use seaice::artifact::{Artifact, ArtifactError, Codec, Reader, Writer};
 use seaice::freeboard::FreeboardProduct;
 use seaice_products::BeamThickness;
 
 use crate::cache::CacheStats;
-use crate::grid::{GridConfig, MapRect, TileScope, TimeKey, TimeRange};
+use crate::grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
 use crate::server::ServerStats;
-use crate::store::{CatalogStats, CellSummary, IngestMode, IngestReport, TilePartial};
+use crate::store::{
+    CatalogStats, CellSummary, IngestMode, IngestReport, QuerySummary, TilePartial,
+};
 use crate::tile::CellAggregate;
 use crate::CatalogError;
 
@@ -153,16 +156,6 @@ fn le_u64(buf: &[u8], off: usize) -> Result<u64, CatalogError> {
 /// [`write_frame_mux`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), CatalogError> {
     write_frame_mux(w, payload, 0, 0)
-}
-
-/// Writes one frame carrying `trace_id` with request id 0:
-/// [`write_frame_mux`].
-pub fn write_frame_traced(
-    w: &mut impl Write,
-    payload: &[u8],
-    trace_id: u64,
-) -> Result<(), CatalogError> {
-    write_frame_mux(w, payload, 0, trace_id)
 }
 
 /// Encodes one frame (header + payload) into a byte vector — the
@@ -361,16 +354,6 @@ pub fn write_message<M: Artifact>(w: &mut impl Write, message: &M) -> Result<(),
     write_frame(w, &message.to_bytes())
 }
 
-/// [`write_message`] carrying a trace id in the frame header (request
-/// id 0).
-pub fn write_message_traced<M: Artifact>(
-    w: &mut impl Write,
-    message: &M,
-    trace_id: u64,
-) -> Result<(), CatalogError> {
-    write_frame_mux(w, &message.to_bytes(), 0, trace_id)
-}
-
 /// [`write_message`] carrying both a request id and a trace id — the
 /// multiplexed send both ends of protocol v2 use.
 pub fn write_message_mux<M: Artifact>(
@@ -492,15 +475,13 @@ pub enum Request {
     },
     /// Health probe: answers [`Response::Pong`] with the server's
     /// serving counters. Cheap (no catalog access) — this is what
-    /// circuit-breaker half-open probes send. A pre-Ping v2 server
-    /// answers it with [`ERR_BAD_REQUEST`]; the connection survives.
+    /// circuit-breaker half-open probes send.
     Ping,
     /// Observability scrape: answers [`Response::Metrics`] with the
     /// server's full metric snapshot in text exposition format —
     /// per-request-kind latency histograms, error/cache/ingest/lease
     /// counters, and recent traced-request breakdowns — instead of the
-    /// fixed `ServerStats` counters. Like Ping, a pre-Introspect v2
-    /// server answers [`ERR_BAD_REQUEST`] and the connection survives.
+    /// fixed `ServerStats` counters.
     Introspect,
     /// Served write: ingest one beam's freeboard product under the
     /// server's own writer lease — a thin producer streams products at
@@ -532,63 +513,117 @@ pub enum Request {
     },
 }
 
+/// The request-kind table, indexed by wire tag: the `kind` label of
+/// each request kind's server metrics (`server_request_us{kind="…"}`).
+/// [`Request::tag`] gives every request its row; encoding writes it.
+pub const REQUEST_KINDS: [&str; 12] = [
+    "manifest",
+    "query_rect",
+    "query_bbox",
+    "query_point",
+    "query_time_range",
+    "query_cells",
+    "stats",
+    "validate",
+    "ping",
+    "introspect",
+    "ingest_samples",
+    "ingest_thickness",
+];
+
+impl Request {
+    /// This request's wire tag: its row in [`REQUEST_KINDS`].
+    pub fn tag(&self) -> u8 {
+        match self {
+            Request::Manifest => 0,
+            Request::QueryRect { .. } => 1,
+            Request::QueryBbox { .. } => 2,
+            Request::QueryPoint { .. } => 3,
+            Request::QueryTimeRange { .. } => 4,
+            Request::QueryCells { .. } => 5,
+            Request::Stats { .. } => 6,
+            Request::Validate { .. } => 7,
+            Request::Ping => 8,
+            Request::Introspect => 9,
+            Request::IngestSamples { .. } => 10,
+            Request::IngestThickness { .. } => 11,
+        }
+    }
+
+    /// The tiles a scoped request is restricted to, `None` for requests
+    /// outside the query path. The shard router rewrites it per owner.
+    pub fn scope_mut(&mut self) -> Option<&mut TileScope> {
+        match self {
+            Request::QueryRect { scope, .. }
+            | Request::QueryBbox { scope, .. }
+            | Request::QueryPoint { scope, .. }
+            | Request::QueryTimeRange { scope, .. }
+            | Request::QueryCells { scope, .. }
+            | Request::Stats { scope }
+            | Request::Validate { scope } => Some(scope),
+            _ => None,
+        }
+    }
+
+    /// The tiles this request could touch, sorted; `None` when it
+    /// ranges over every tile. The engine scans only these tiles' index
+    /// entries and the shard router asks only their owners.
+    pub fn footprint(&self, grid: &GridConfig) -> Option<Vec<TileId>> {
+        let mut tiles = match self {
+            Request::QueryRect { rect, .. } | Request::QueryCells { rect, .. } => {
+                grid.tiles_overlapping(rect)
+            }
+            Request::QueryBbox { bbox, .. } => grid.tiles_overlapping(&grid.bbox_cover(bbox)),
+            Request::QueryPoint { point, .. } => grid
+                .locate(EPSG_3976.forward(*point))
+                .map(|(tile, _)| tile)
+                .into_iter()
+                .collect(),
+            _ => return None,
+        };
+        tiles.sort_unstable();
+        Some(tiles)
+    }
+}
+
 impl Codec for Request {
     fn encode(&self, w: &mut Writer) {
+        w.put_u8(self.tag());
         match self {
-            Request::Manifest => w.put_u8(0),
-            Request::QueryRect { rect, time, scope } => {
-                w.put_u8(1);
+            Request::Manifest | Request::Ping | Request::Introspect => {}
+            Request::QueryRect { rect, time, scope }
+            | Request::QueryCells { rect, time, scope } => {
                 rect.encode(w);
                 time.encode(w);
                 scope.encode(w);
             }
             Request::QueryBbox { bbox, time, scope } => {
-                w.put_u8(2);
                 bbox.encode(w);
                 time.encode(w);
                 scope.encode(w);
             }
             Request::QueryPoint { point, time, scope } => {
-                w.put_u8(3);
                 point.encode(w);
                 time.encode(w);
                 scope.encode(w);
             }
             Request::QueryTimeRange { time, scope } => {
-                w.put_u8(4);
                 time.encode(w);
                 scope.encode(w);
             }
-            Request::QueryCells { rect, time, scope } => {
-                w.put_u8(5);
-                rect.encode(w);
-                time.encode(w);
-                scope.encode(w);
-            }
-            Request::Stats { scope } => {
-                w.put_u8(6);
-                scope.encode(w);
-            }
-            Request::Validate { scope } => {
-                w.put_u8(7);
-                scope.encode(w);
-            }
-            Request::Ping => w.put_u8(8),
-            Request::Introspect => w.put_u8(9),
+            Request::Stats { scope } | Request::Validate { scope } => scope.encode(w),
             Request::IngestSamples {
                 granule_id,
                 beam,
                 mode,
                 product,
             } => {
-                w.put_u8(10);
                 granule_id.encode(w);
                 w.put_u32(*beam);
                 mode.encode(w);
                 product.encode(w);
             }
             Request::IngestThickness { mode, beam } => {
-                w.put_u8(11);
                 mode.encode(w);
                 beam.encode(w);
             }
@@ -784,6 +819,274 @@ impl Artifact for Response {
 }
 
 // ---------------------------------------------------------------------------
+// Records: the answer to a query-path request.
+// ---------------------------------------------------------------------------
+
+/// The answer to a query-path request (the five queries, `Stats`, and
+/// `Validate`) in its wire form, before the final fold.
+///
+/// One path carries every kind: [`crate::Catalog::execute`] computes
+/// it, the server streams it, [`crate::CatalogClient::call`] decodes it
+/// back from the frames, and [`crate::ShardRouter::run_routed`] merges
+/// one per shard with [`Records::merge`]. The typed answers are the
+/// `into_*` folds, shared verbatim by engine, client, and router — which
+/// is what makes every path's answer bit-identical.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Records {
+    /// Per-tile summary partials (rect and bbox queries).
+    Tiles(Vec<TilePartial>),
+    /// Per-tile partials by layer (time-range queries). On the wire a
+    /// layer travels as its `(layer, partial)` records, so a layer
+    /// without partials is listed only by an in-process answer.
+    Layers(BTreeMap<TimeKey, Vec<TilePartial>>),
+    /// Gridded composite cells, sorted by `(tile, cell)`.
+    Cells(Vec<CellSummary>),
+    /// The aggregated cell under a probe point, if any.
+    Point(Option<CellSummary>),
+    /// Scoped counters plus the chronological layer list.
+    Stats {
+        /// Scoped store counters.
+        stats: CatalogStats,
+        /// Scoped temporal layers, chronological.
+        layers: Vec<TimeKey>,
+    },
+    /// Tiles a validation checked.
+    Checked(u64),
+}
+
+fn wrong_records(want: &str) -> CatalogError {
+    CatalogError::Protocol(format!("the answer is not {want}"))
+}
+
+/// The refusal of a request outside the query path where a query is
+/// required.
+pub(crate) fn not_a_query(request: &Request) -> CatalogError {
+    let kind = REQUEST_KINDS[usize::from(request.tag())];
+    CatalogError::Protocol(format!("request kind {kind} is not a query"))
+}
+
+/// A response frame the exchange did not expect at this point.
+pub(crate) fn unexpected(response: &Response) -> CatalogError {
+    CatalogError::Protocol(format!("unexpected response frame: {response:?}"))
+}
+
+impl Records {
+    /// The empty answer to `request`; a typed protocol error for
+    /// requests outside the query path. Decoding and merging start from
+    /// it, so an answer with no records still has its kind.
+    pub fn empty_for(request: &Request) -> Result<Records, CatalogError> {
+        Ok(match request {
+            Request::QueryRect { .. } | Request::QueryBbox { .. } => Records::Tiles(Vec::new()),
+            Request::QueryTimeRange { .. } => Records::Layers(BTreeMap::new()),
+            Request::QueryCells { .. } => Records::Cells(Vec::new()),
+            Request::QueryPoint { .. } => Records::Point(None),
+            Request::Stats { .. } => Records::Stats {
+                stats: CatalogStats::default(),
+                layers: Vec::new(),
+            },
+            Request::Validate { .. } => Records::Checked(0),
+            other => return Err(not_a_query(other)),
+        })
+    }
+
+    /// Adds `more` — records of the same kind over other tiles — to
+    /// this answer: streams concatenate, counters sum, layer lists
+    /// union.
+    fn append(&mut self, more: Records) -> Result<(), CatalogError> {
+        match (self, more) {
+            (Records::Tiles(a), Records::Tiles(mut b)) => a.append(&mut b),
+            (Records::Layers(a), Records::Layers(b)) => {
+                for (time, mut partials) in b {
+                    a.entry(time).or_default().append(&mut partials);
+                }
+            }
+            (Records::Cells(a), Records::Cells(mut b)) => a.append(&mut b),
+            (Records::Point(a), Records::Point(b)) => {
+                if b.is_some() {
+                    if a.is_some() {
+                        return Err(CatalogError::Protocol(
+                            "two shards answered for the same point".into(),
+                        ));
+                    }
+                    *a = b;
+                }
+            }
+            (
+                Records::Stats { stats, layers },
+                Records::Stats {
+                    stats: s,
+                    layers: l,
+                },
+            ) => {
+                stats.n_tiles += s.n_tiles;
+                stats.n_samples += s.n_samples;
+                stats.n_thickness += s.n_thickness;
+                stats.cache.hits += s.cache.hits;
+                stats.cache.misses += s.cache.misses;
+                stats.cache.evictions += s.cache.evictions;
+                layers.extend(l);
+                layers.sort_unstable();
+                layers.dedup();
+                stats.n_layers = layers.len();
+            }
+            (Records::Checked(a), Records::Checked(b)) => *a += b,
+            _ => return Err(wrong_records("of the kind being merged")),
+        }
+        Ok(())
+    }
+
+    /// Assembles a completed exchange — its batch frames and the frame
+    /// that ended it — onto this empty answer ([`Records::empty_for`]
+    /// the request). A streamed answer must end in a `Done` whose count
+    /// matches the records carried; a scalar one is its single frame.
+    pub fn assemble(
+        mut self,
+        batches: Vec<Response>,
+        done: Response,
+    ) -> Result<Records, CatalogError> {
+        let mut streamed = 0usize;
+        for batch in batches {
+            let more = match batch {
+                Response::TileBatch(b) => (b.len(), Records::Tiles(b)),
+                Response::LayerBatch(b) => {
+                    let n = b.len();
+                    let mut layers: BTreeMap<TimeKey, Vec<TilePartial>> = BTreeMap::new();
+                    for (time, partial) in b {
+                        layers.entry(time).or_default().push(partial);
+                    }
+                    (n, Records::Layers(layers))
+                }
+                Response::CellBatch(b) => (b.len(), Records::Cells(b)),
+                other => return Err(unexpected(&other)),
+            };
+            streamed += more.0;
+            self.append(more.1)?;
+        }
+        let streams = matches!(
+            self,
+            Records::Tiles(_) | Records::Layers(_) | Records::Cells(_)
+        );
+        let last = match done {
+            Response::Done { n_records } if streams => {
+                if n_records != streamed as u64 {
+                    return Err(CatalogError::Protocol(format!(
+                        "stream advertised {n_records} records but carried {streamed}"
+                    )));
+                }
+                return Ok(self);
+            }
+            Response::Done { n_records } if streamed == 0 => Records::Checked(n_records),
+            Response::Point(cell) => Records::Point(cell),
+            Response::Stats { stats, layers } => Records::Stats { stats, layers },
+            other => return Err(unexpected(&other)),
+        };
+        self.append(last)?;
+        Ok(self)
+    }
+
+    /// Merges shard answers to `request`, each over a disjoint scope,
+    /// into the answer one catalog holding all their tiles gives. A
+    /// tile, layer tile, cell, or point answered twice is a typed error
+    /// (overlapping shard stores); cells come back sorted by
+    /// `(tile, cell)`.
+    pub fn merge(request: &Request, answers: Vec<Records>) -> Result<Records, CatalogError> {
+        let mut merged = Records::empty_for(request)?;
+        for answer in answers {
+            merged.append(answer)?;
+        }
+        let duplicate = |what: &str| {
+            Err(CatalogError::Protocol(format!(
+                "two shards answered for the same {what}"
+            )))
+        };
+        let unique = |partials: &[TilePartial]| {
+            let mut seen = BTreeSet::new();
+            partials.iter().all(|p| seen.insert(p.tile))
+        };
+        match &mut merged {
+            Records::Tiles(tiles) if !unique(tiles) => return duplicate("tile"),
+            Records::Layers(layers) if !layers.values().all(|l| unique(l)) => {
+                return duplicate("layer tile")
+            }
+            Records::Cells(cells) => {
+                cells.sort_unstable_by_key(|c| (c.tile, c.cell));
+                if cells
+                    .windows(2)
+                    .any(|w| (w[0].tile, w[0].cell) == (w[1].tile, w[1].cell))
+                {
+                    return duplicate("cell");
+                }
+            }
+            _ => {}
+        }
+        Ok(merged)
+    }
+
+    /// The per-tile partials of a rect or bbox answer.
+    pub fn into_tiles(self) -> Result<Vec<TilePartial>, CatalogError> {
+        match self {
+            Records::Tiles(tiles) => Ok(tiles),
+            _ => Err(wrong_records("tile partials")),
+        }
+    }
+
+    /// The summary fold of a rect or bbox answer.
+    pub fn into_summary(self) -> Result<QuerySummary, CatalogError> {
+        self.into_tiles().map(QuerySummary::from_partials)
+    }
+
+    /// The per-tile partials of a time-range answer, grouped by layer,
+    /// chronological.
+    pub fn into_layer_partials(self) -> Result<Vec<(TimeKey, Vec<TilePartial>)>, CatalogError> {
+        match self {
+            Records::Layers(layers) => Ok(layers.into_iter().collect()),
+            _ => Err(wrong_records("layer partials")),
+        }
+    }
+
+    /// The per-layer summary fold of a time-range answer, chronological.
+    pub fn into_layers(self) -> Result<Vec<(TimeKey, QuerySummary)>, CatalogError> {
+        Ok(self
+            .into_layer_partials()?
+            .into_iter()
+            .map(|(time, partials)| (time, QuerySummary::from_partials(partials)))
+            .collect())
+    }
+
+    /// The cells of a composite answer.
+    pub fn into_cells(self) -> Result<Vec<CellSummary>, CatalogError> {
+        match self {
+            Records::Cells(cells) => Ok(cells),
+            _ => Err(wrong_records("cells")),
+        }
+    }
+
+    /// The cell of a point answer.
+    pub fn into_point(self) -> Result<Option<CellSummary>, CatalogError> {
+        match self {
+            Records::Point(cell) => Ok(cell),
+            _ => Err(wrong_records("a point")),
+        }
+    }
+
+    /// The counters of a stats answer.
+    pub fn into_stats(self) -> Result<CatalogStats, CatalogError> {
+        match self {
+            Records::Stats { stats, .. } => Ok(stats),
+            _ => Err(wrong_records("stats")),
+        }
+    }
+
+    /// The tile count of a validation answer.
+    pub fn into_checked(self) -> Result<usize, CatalogError> {
+        match self {
+            Records::Checked(n) => Ok(n as usize),
+            _ => Err(wrong_records("a validation count")),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Codec impls for the payload records that cross the wire.
 // ---------------------------------------------------------------------------
 
@@ -929,12 +1232,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn requests_roundtrip_through_frames() {
+    /// One request of every kind.
+    fn requests() -> Vec<Request> {
         let scope = TileScope::of(&["0", "31"]).unwrap();
         let rect = MapRect::new(MapPoint::new(-1.0, -2.0), MapPoint::new(3.0, 4.0));
         let time = TimeRange::only(TimeKey::new(2019, 11).unwrap());
-        for request in [
+        vec![
             Request::Manifest,
             Request::QueryRect {
                 rect,
@@ -1000,9 +1303,46 @@ mod tests {
                     }],
                 },
             },
-        ] {
+        ]
+    }
+
+    #[test]
+    fn requests_roundtrip_through_frames() {
+        for request in requests() {
             roundtrip(&request);
         }
+    }
+
+    /// Shard answers merge by kind; a tile, layer tile, cell, or point
+    /// answered twice is a typed error, and so is a stream whose `Done`
+    /// miscounts its records or a request outside the query path.
+    #[test]
+    fn records_merge_refuses_duplicates_and_miscounted_streams() {
+        let layer = TimeKey::new(2019, 9).unwrap();
+        for request in requests() {
+            let Ok(empty) = Records::empty_for(&request) else {
+                assert!(Records::merge(&request, Vec::new()).is_err());
+                continue;
+            };
+            let answer = match empty {
+                Records::Tiles(_) => Records::Tiles(vec![partial()]),
+                Records::Layers(_) => Records::Layers(BTreeMap::from([(layer, vec![partial()])])),
+                Records::Cells(_) => Records::Cells(vec![cell()]),
+                Records::Point(_) => Records::Point(Some(cell())),
+                // Counters sum across shards: nothing to refuse.
+                Records::Stats { .. } | Records::Checked(_) => continue,
+            };
+            assert_eq!(
+                Records::merge(&request, vec![answer.clone()]).unwrap(),
+                answer
+            );
+            assert!(Records::merge(&request, vec![answer.clone(), answer]).is_err());
+        }
+        let batch = || vec![Response::TileBatch(vec![partial()])];
+        let done = |n_records| Response::Done { n_records };
+        let empty = Records::Tiles(Vec::new());
+        assert!(empty.clone().assemble(batch(), done(1)).is_ok());
+        assert!(empty.assemble(batch(), done(2)).is_err());
     }
 
     #[test]
@@ -1071,9 +1411,8 @@ mod tests {
         assert!(try_extract_frame(&corrupt).is_err());
     }
 
-    #[test]
-    fn responses_roundtrip_through_frames() {
-        let cell = CellSummary {
+    fn cell() -> CellSummary {
+        CellSummary {
             tile: TileId::new(2, 1, 1).unwrap(),
             cell: 17,
             center: MapPoint::new(100.0, -200.0),
@@ -1090,7 +1429,12 @@ mod tests {
                 t_wt_sum: 20.0,
                 t_p95_m: 1.9,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn responses_roundtrip_through_frames() {
+        let cell = cell();
         for response in [
             Response::Manifest(GridConfig::ross_sea()),
             Response::TileBatch(vec![partial(), partial()]),

@@ -11,18 +11,19 @@
 //! - a retention horizon drops segment detail while per-cell composites
 //!   keep answering bit-identically;
 //! - re-gridding and seasonal layer merges preserve totals;
-//! - a v1 (pre-ledger) catalog still opens, queries, and upgrades.
+//! - a store holding a tile or manifest of another format version
+//!   fails to open with a typed error (current format only).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use icesat_geo::{MapPoint, EPSG_3976};
 use icesat_scene::SurfaceClass;
-use seaice::artifact::{Artifact, Codec, Writer};
+use seaice::artifact::ArtifactError;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_catalog::{
-    compact, Catalog, CompactionConfig, GridConfig, IngestMode, LayerMap, MapRect, TimeKey,
-    TimeRange,
+    compact, Catalog, CatalogError, CompactionConfig, GridConfig, IngestMode, LayerMap, MapRect,
+    TimeKey, TimeRange,
 };
 
 fn grid() -> GridConfig {
@@ -66,20 +67,6 @@ fn build(catalog: &Catalog) {
         let product = line_product(400, x0, -1_304_000.0, 19.0, dy, 0.2);
         catalog.ingest_beam(granule, beam, &product).unwrap();
     }
-}
-
-/// Encodes one sample in the 61-byte pre-thickness record layout (tile
-/// formats v1/v2) — for hand-building legacy files.
-fn encode_legacy_record(w: &mut Writer, s: &seaice_catalog::SampleRecord) {
-    w.put_u64(s.source);
-    w.put_f64(s.along_track_m);
-    w.put_f64(s.lat);
-    w.put_f64(s.lon);
-    w.put_f64(s.x_m);
-    w.put_f64(s.y_m);
-    w.put_f64(s.freeboard_m);
-    s.class.encode(w);
-    w.put_u32(s.cell);
 }
 
 /// Every tile (and ledger) file in a catalog directory, bytes and all.
@@ -596,73 +583,37 @@ fn thickness_ingest_idempotent_and_compaction_preserves_aggregates() {
     let _ = std::fs::remove_dir_all(&retained_dir);
 }
 
-/// A catalog written entirely in the v1 (pre-ledger) format — v1
-/// manifest, v1 tiles, no sidecar ledgers — opens, queries, and then
-/// upgrades in place as new ingests land.
+/// Only the current format opens: a catalog directory holding one tile
+/// or a manifest of another format version (a pre-v3 v2, or a future
+/// v4) fails `Catalog::open` with a typed `BadVersion`, never a panic
+/// or a silently partial store.
 #[test]
-fn v1_store_opens_queries_and_upgrades() {
-    let dir = temp_dir("v1_store");
-
-    // Build a modern catalog, then rewrite every file in v1 framing.
+fn other_format_versions_fail_open_typed() {
+    let dir = temp_dir("format_versions");
     let catalog = Catalog::create(&dir, grid()).unwrap();
     build(&catalog);
-    let battery_before = battery(&catalog);
-    let stats_before = catalog.stats().unwrap();
     drop(catalog);
-
-    // Manifest → v1 bytes (same body, version 1).
-    let manifest_path = dir.join("catalog.manifest");
-    let mut w = Writer::new();
-    w.put_slice(b"SICM");
-    w.put_u16(1);
-    grid().encode(&mut w);
-    std::fs::write(&manifest_path, w.finish()).unwrap();
-
-    // Tiles → v1 bytes (id, time, version, 61-byte samples; no ledger,
-    // no base, no thickness).
-    for entry in std::fs::read_dir(dir.join("tiles")).unwrap() {
-        let path = entry.unwrap().path();
-        let tile = seaice_catalog::Tile::load(&path).unwrap();
-        let mut w = Writer::new();
-        w.put_slice(b"SIT1");
-        w.put_u16(1);
-        tile.id.encode(&mut w);
-        tile.time.encode(&mut w);
-        w.put_u64(tile.version);
-        w.put_u64(tile.samples().len() as u64);
-        for s in tile.samples() {
-            encode_legacy_record(&mut w, s);
+    let tile = std::fs::read_dir(dir.join("tiles"))
+        .unwrap()
+        .next()
+        .expect("a persisted tile")
+        .unwrap()
+        .path();
+    let manifest = dir.join("catalog.manifest");
+    for (path, version) in [(&tile, 2u16), (&tile, 4), (&manifest, 2), (&manifest, 4)] {
+        let original = std::fs::read(path).unwrap();
+        let mut patched = original.clone();
+        // Every artifact starts tag(4) | u16 format version.
+        patched[4..6].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(path, &patched).unwrap();
+        match Catalog::open(&dir) {
+            Err(CatalogError::Artifact(ArtifactError::BadVersion(v))) => assert_eq!(v, version),
+            Err(other) => panic!("{path:?} at v{version}: wrong error {other}"),
+            Ok(_) => panic!("{path:?} at v{version} opened"),
         }
-        std::fs::write(&path, w.finish()).unwrap();
+        std::fs::write(path, &original).unwrap();
     }
-    // Drop the sidecars — v1 stores never had them.
-    let _ = std::fs::remove_dir_all(dir.join("ledgers"));
-
-    let v1 = Catalog::open(&dir).unwrap();
-    assert_eq!(battery(&v1), battery_before, "v1 store answers unchanged");
-    assert_eq!(v1.stats().unwrap().n_samples, stats_before.n_samples);
-    v1.validate().unwrap();
-
-    // Re-ingesting a source the v1 tiles hold skips via their
-    // reconstructed per-tile ledgers (no sidecar fast path).
-    let product = line_product(400, -304_000.0, -1_304_000.0, 19.0, 10.0, 0.2);
-    let r = v1
-        .ingest_beam("20190915010203_05000210", 0, &product)
-        .unwrap();
-    assert_eq!(r.n_samples, 0);
-    assert_eq!(r.n_skipped, 400);
-
-    // A new ingest upgrades its tiles to v2 on persist.
-    let fresh = line_product(120, -301_000.0, -1_301_000.0, 10.0, 5.0, 0.4);
-    v1.ingest_beam("20191104195311_05990210", 2, &fresh)
-        .unwrap();
-    v1.validate().unwrap();
-    assert_eq!(v1.stats().unwrap().n_samples, stats_before.n_samples + 120);
-    // And the identity compaction of the upgraded store still holds.
-    let dst_dir = temp_dir("v1_compacted");
-    compact(&dir, &dst_dir, &CompactionConfig::rewrite(grid())).unwrap();
-    let dst = Catalog::open(&dst_dir).unwrap();
-    assert_eq!(battery(&dst), battery(&v1));
+    // Restored, the store opens and answers again.
+    Catalog::open(&dir).unwrap().validate().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dst_dir);
 }

@@ -93,23 +93,6 @@ impl FleetDriver {
         }
     }
 
-    /// A driver from explicit per-stage configs (the legacy
-    /// `scaled_*_run` signatures).
-    pub fn from_parts(
-        cluster: Cluster,
-        preprocess: PreprocessConfig,
-        resample: ResampleConfig,
-        window: WindowConfig,
-    ) -> Self {
-        FleetDriver {
-            cluster,
-            preprocess,
-            resample,
-            window,
-            heuristic: HeuristicConfig::default(),
-        }
-    }
-
     /// The underlying cluster topology.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster

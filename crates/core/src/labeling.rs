@@ -98,7 +98,7 @@ fn alignment_score(segments: &[Segment], raster: &LabelRaster, dx: f64, dy: f64)
 
 /// The full stage-2 labeling chain: drift estimation, shifted label
 /// transfer, and the simulated manual pass against the truth scene.
-/// Shared by the legacy [`crate::pipeline::Pipeline::autolabel`] and the
+/// Shared by [`crate::pipeline::Pipeline::autolabel`] and the
 /// staged [`crate::stages::LabeledDataset`] so the algorithm exists once.
 pub fn autolabel_with_drift(
     segments: &[Segment],

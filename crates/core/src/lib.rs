@@ -32,9 +32,8 @@
 //! - [`fleet`] — [`fleet::FleetDriver`], which broadcasts one
 //!   [`stages::TrainedModels`] across a `sparklite` cluster and processes
 //!   whole granule fleets beam-parallel;
-//! - [`pipeline`] — the legacy one-call workflow, now a thin wrapper that
-//!   chains the stages, plus the sparklite-scaled compatibility entry
-//!   points behind Tables II and V;
+//! - [`pipeline`] — the workflow configuration and the truth-scene
+//!   [`pipeline::Pipeline`] the stages run on;
 //! - [`eval`] — truth-referenced scoring (the luxury a synthetic scene
 //!   buys us): classification accuracy, sea-surface RMSE, freeboard RMSE,
 //!   and product-density ratios.
@@ -62,7 +61,7 @@ pub use freeboard::{FreeboardPoint, FreeboardProduct};
 pub use heuristic::{heuristic_classes, HeuristicConfig};
 pub use labeling::{autolabel_segments, estimate_drift, AutoLabelConfig, LabeledSegment};
 pub use models::{paper_lstm, paper_mlp, train_classifier, ModelKind, TrainedClassifier};
-pub use pipeline::{Pipeline, PipelineConfig, PipelineProducts};
+pub use pipeline::{Pipeline, PipelineConfig};
 pub use seasurface::{SeaSurface, SeaSurfaceMethod};
 pub use stages::{
     CuratedTrack, LabeledDataset, PipelineBuilder, SeaIceProducts, StagedRun, TrainedModels,

@@ -1,5 +1,5 @@
-//! The legacy one-call workflow plus the sparklite-scaled compatibility
-//! entry points behind the paper's Tables II and V.
+//! The workflow configuration and the truth-scene [`Pipeline`] the
+//! staged API ([`crate::stages`]) runs on.
 //!
 //! Stage 1 — data curation: synthetic granule → preprocessing → 2 m
 //! resampling → S2 coincident pair → drift correction → auto-labeling →
@@ -9,31 +9,23 @@
 //! Stage 4 — local sea surface (four methods) and freeboard, with the
 //! ATL07/ATL10 emulation as the comparison product.
 //!
-//! Since the staged-artifact redesign, [`Pipeline::run`] is a thin
-//! wrapper over [`crate::stages`], and the `scaled_*` functions wrap
-//! [`crate::fleet::FleetDriver`]. New code should use those APIs
-//! directly; this module keeps the original one-call surface working.
+//! [`Pipeline::run_staged`] (or [`crate::stages::PipelineBuilder::run`])
+//! runs all four stages; [`crate::fleet::FleetDriver`] runs them at
+//! scale (the paper's Tables II and V).
 
 use icesat_atl03::generator::standard_granule;
 use icesat_atl03::{
     preprocess_beam, resample_2m, Beam, GeneratorConfig, Granule, GranuleMeta, PreprocessConfig,
     ResampleConfig, Segment,
 };
-use icesat_scene::{DriftModel, Scene, SceneConfig, SurfaceClass};
+use icesat_scene::{DriftModel, Scene, SceneConfig};
 use icesat_sentinel2::{CoincidentPair, PairConfig, RenderConfig, SegmentationConfig};
-use neurite::{ClassificationReport, ConfusionMatrix};
 use serde::{Deserialize, Serialize};
-use sparklite::{Cluster, ScalingTable, StageReport};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use crate::atl07::Atl10Freeboard;
 use crate::features::FeatureConfig;
-use crate::freeboard::FreeboardProduct;
 use crate::labeling::{AutoLabelConfig, DriftEstimate, LabeledSegment};
-use crate::models::{TrainConfig, TrainedClassifier};
-use crate::seasurface::{SeaSurface, WindowConfig};
+use crate::models::TrainConfig;
+use crate::seasurface::WindowConfig;
 
 /// Everything the workflow needs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,40 +111,6 @@ impl PipelineConfig {
     }
 }
 
-/// Everything the workflow produces (the figures' raw material).
-pub struct PipelineProducts {
-    /// 2 m segments of the processed beam.
-    pub segments: Vec<Segment>,
-    /// Auto-labels after drift correction and manual clean-up.
-    pub auto_labels: Vec<LabeledSegment>,
-    /// Estimated drift shift (Table I column).
-    pub drift: DriftEstimate,
-    /// Auto-label accuracy vs truth.
-    pub autolabel_accuracy: f64,
-    /// Trained LSTM.
-    pub lstm: TrainedClassifier,
-    /// Trained MLP.
-    pub mlp: TrainedClassifier,
-    /// Table III rows: per-model weighted reports.
-    pub reports: BTreeMap<&'static str, ClassificationReport>,
-    /// Figure 4: the LSTM's held-out confusion matrix.
-    pub lstm_confusion: ConfusionMatrix,
-    /// LSTM-inferred class per 2 m segment (Figures 6, 7).
-    pub classes: Vec<SurfaceClass>,
-    /// LSTM classification accuracy vs scene truth.
-    pub classification_accuracy_vs_truth: f64,
-    /// Local sea surfaces by method (Figures 8, 9).
-    pub sea_surfaces: BTreeMap<&'static str, SeaSurface>,
-    /// The 2 m freeboard product (Figures 10, 11).
-    pub freeboard_atl03: FreeboardProduct,
-    /// Emulated ATL07 classes over aggregate segments (Figures 6, 7).
-    pub atl07_classes: Vec<SurfaceClass>,
-    /// Emulated ATL10 freeboard (Figures 10, 11).
-    pub atl10: Atl10Freeboard,
-    /// Sea-surface gap |ATL03 − ATL07| mean, metres (paper: ≈0.1 m).
-    pub surface_gap_m: f64,
-}
-
 /// The assembled workflow.
 pub struct Pipeline {
     /// Configuration (public for tweaking between stages).
@@ -218,17 +176,6 @@ impl Pipeline {
         )
     }
 
-    /// Runs all four stages on the central strong beam and returns the
-    /// full product set.
-    ///
-    /// Compatibility wrapper: the work happens in the staged API
-    /// ([`crate::stages`]) — curation, labeling, training, and product
-    /// derivation run as the same explicit artifacts `PipelineBuilder`
-    /// exposes, then flatten into the legacy shape.
-    pub fn run(&self) -> PipelineProducts {
-        self.run_staged(Beam::Gt2l).into_legacy()
-    }
-
     /// Runs all four stages against this pipeline's already-realised
     /// truth scene, keeping every intermediate artifact.
     pub fn run_staged(&self, beam: Beam) -> crate::stages::StagedRun {
@@ -243,166 +190,5 @@ impl Pipeline {
             models,
             products,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scaled (sparklite) runs — Tables II and V.
-// ---------------------------------------------------------------------------
-
-/// Materialises `n_granules` granule files (three strong beams each)
-/// under `dir`, returning `(file, beam)` sources — one partition each.
-///
-/// Compatibility alias for [`crate::fleet::FleetDriver::write_fleet`].
-pub fn write_granule_fleet(
-    pipeline: &Pipeline,
-    dir: &Path,
-    n_granules: usize,
-) -> std::io::Result<Vec<(PathBuf, Beam)>> {
-    crate::fleet::FleetDriver::write_fleet(pipeline, dir, n_granules)
-}
-
-/// One (executors × cores) auto-labeling run over granule files
-/// (Table II workload).
-///
-/// Compatibility wrapper over [`crate::fleet::FleetDriver::autolabel_run`].
-pub fn scaled_autolabel_run(
-    cluster: &Cluster,
-    sources: &[(PathBuf, Beam)],
-    raster: Arc<icesat_sentinel2::LabelRaster>,
-    preprocess: &PreprocessConfig,
-    resample: &ResampleConfig,
-) -> ([usize; 4], StageReport) {
-    crate::fleet::FleetDriver::from_parts(*cluster, *preprocess, *resample, WindowConfig::default())
-        .autolabel_run(sources, raster)
-}
-
-/// One (executors × cores) freeboard run (Table V workload).
-///
-/// Compatibility wrapper over [`crate::fleet::FleetDriver::freeboard_run`].
-pub fn scaled_freeboard_run(
-    cluster: &Cluster,
-    sources: &[(PathBuf, Beam)],
-    preprocess: &PreprocessConfig,
-    resample: &ResampleConfig,
-    window: &WindowConfig,
-) -> (crate::fleet::FreeboardSummary, StageReport) {
-    crate::fleet::FleetDriver::from_parts(*cluster, *preprocess, *resample, *window)
-        .freeboard_run(sources)
-}
-
-/// Sweeps the paper's executors × cores grid for either scaled workload,
-/// producing a Table II / Table V-shaped [`ScalingTable`].
-pub fn scaled_table<F>(title: &str, grid: &[(usize, usize)], mut run: F) -> ScalingTable
-where
-    F: FnMut(&Cluster) -> StageReport,
-{
-    ScalingTable::sweep(title, grid, |e, c| run(&Cluster::new(e, c)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_pipeline_runs_end_to_end() {
-        let pipeline = Pipeline::new(PipelineConfig::small(42));
-        let products = pipeline.run();
-
-        // Stage 1: labels exist and beat 85% against truth.
-        assert!(!products.segments.is_empty());
-        assert_eq!(products.auto_labels.len(), products.segments.len());
-        assert!(
-            products.autolabel_accuracy > 0.85,
-            "auto-label accuracy {}",
-            products.autolabel_accuracy
-        );
-
-        // Stage 2: both models trained; reports present.
-        assert!(products.reports["LSTM"].accuracy > 0.8);
-        assert!(products.reports["MLP"].accuracy > 0.7);
-
-        // Stage 3: classes parallel segments, decent truth accuracy.
-        assert_eq!(products.classes.len(), products.segments.len());
-        assert!(
-            products.classification_accuracy_vs_truth > 0.8,
-            "truth accuracy {}",
-            products.classification_accuracy_vs_truth
-        );
-
-        // Stage 4: four surfaces; 2 m product much denser than ATL10.
-        assert_eq!(products.sea_surfaces.len(), 4);
-        assert!(
-            products.freeboard_atl03.density_per_km()
-                > 5.0 * products.atl10.product.density_per_km()
-        );
-        // Paper: ATL03-vs-ATL07 surface gap is ~0.1 m.
-        assert!(
-            products.surface_gap_m < 0.25,
-            "surface gap {}",
-            products.surface_gap_m
-        );
-    }
-
-    #[test]
-    fn scaled_autolabel_is_topology_invariant() {
-        let pipeline = Pipeline::new(PipelineConfig::small(7));
-        let dir = std::env::temp_dir().join("seaice_scaled_autolabel_test");
-        let sources = write_granule_fleet(&pipeline, &dir, 2).unwrap();
-        let pair = pipeline.coincident_pair();
-        let raster = Arc::new(pair.labels.clone());
-
-        let (counts_1, report_1) = scaled_autolabel_run(
-            &Cluster::new(1, 1),
-            &sources,
-            Arc::clone(&raster),
-            &pipeline.cfg.preprocess,
-            &pipeline.cfg.resample,
-        );
-        let (counts_4, report_4) = scaled_autolabel_run(
-            &Cluster::new(2, 2),
-            &sources,
-            raster,
-            &pipeline.cfg.preprocess,
-            &pipeline.cfg.resample,
-        );
-        assert_eq!(counts_1, counts_4, "results must not depend on topology");
-        assert!(counts_1.iter().sum::<usize>() > 1000);
-        assert!(report_1.times.reduce_s >= 0.0 && report_4.times.reduce_s >= 0.0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scaled_freeboard_is_topology_invariant() {
-        let pipeline = Pipeline::new(PipelineConfig::small(9));
-        let dir = std::env::temp_dir().join("seaice_scaled_freeboard_test");
-        let sources = write_granule_fleet(&pipeline, &dir, 2).unwrap();
-        let (fb1, _) = scaled_freeboard_run(
-            &Cluster::new(1, 1),
-            &sources,
-            &pipeline.cfg.preprocess,
-            &pipeline.cfg.resample,
-            &pipeline.cfg.window,
-        );
-        let (fb4, _) = scaled_freeboard_run(
-            &Cluster::new(4, 2),
-            &sources,
-            &pipeline.cfg.preprocess,
-            &pipeline.cfg.resample,
-            &pipeline.cfg.window,
-        );
-        assert_eq!(fb1.n_ice_segments, fb4.n_ice_segments);
-        assert!((fb1.mean_freeboard_m - fb4.mean_freeboard_m).abs() < 1e-12);
-        assert!(
-            fb1.n_ice_segments > 100,
-            "freeboard points {}",
-            fb1.n_ice_segments
-        );
-        assert!(
-            fb1.mean_freeboard_m > 0.0 && fb1.mean_freeboard_m < 1.0,
-            "mean freeboard {}",
-            fb1.mean_freeboard_m
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

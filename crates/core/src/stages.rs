@@ -19,11 +19,7 @@
 //! Every artifact implements [`Artifact`]: it
 //! can be saved, shipped, and loaded independently — which is exactly what
 //! [`crate::fleet::FleetDriver`] does to fan one [`TrainedModels`] out
-//! across a fleet of granules. [`PipelineBuilder`] composes the stages;
-//! [`crate::pipeline::Pipeline::run`] is now a thin compatibility wrapper
-//! over the same code path.
-
-use std::collections::BTreeMap;
+//! across a fleet of granules. [`PipelineBuilder`] composes the stages.
 
 use icesat_atl03::{preprocess_beam, Beam, BeamData, GranuleMeta, Segment};
 use icesat_scene::{Scene, SurfaceClass};
@@ -37,7 +33,7 @@ use crate::features::{sequence_dataset, sequence_features, FeatureConfig};
 use crate::freeboard::FreeboardProduct;
 use crate::labeling::{autolabel_with_drift, label_accuracy, DriftEstimate, LabeledSegment};
 use crate::models::{train_classifier, ModelKind, TrainConfig, TrainedClassifier};
-use crate::pipeline::{Pipeline, PipelineConfig, PipelineProducts};
+use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::seasurface::{SeaSurface, SeaSurfaceMethod};
 
 // ---------------------------------------------------------------------------
@@ -283,14 +279,6 @@ impl TrainedModels {
         }
     }
 
-    /// Held-out reports keyed like the legacy `PipelineProducts::reports`.
-    pub fn reports(&self) -> BTreeMap<&'static str, ClassificationReport> {
-        let mut reports = BTreeMap::new();
-        reports.insert("LSTM", self.lstm_report);
-        reports.insert("MLP", self.mlp_report);
-        reports
-    }
-
     /// Stage-4 inference with the winning (LSTM) model: one class per 2 m
     /// segment. Works on **any** segments, not just the training track —
     /// this is the cross-granule reuse the staged API exists for.
@@ -411,14 +399,6 @@ impl SeaIceProducts {
     pub fn surface(&self, method: SeaSurfaceMethod) -> Option<&SeaSurface> {
         self.sea_surfaces.iter().find(|s| s.method == method)
     }
-
-    /// Surfaces keyed like the legacy `PipelineProducts::sea_surfaces`.
-    pub fn surfaces_by_name(&self) -> BTreeMap<&'static str, SeaSurface> {
-        self.sea_surfaces
-            .iter()
-            .map(|s| (s.method.name(), s.clone()))
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -435,36 +415,6 @@ pub struct StagedRun {
     pub models: TrainedModels,
     /// Stage 4.
     pub products: SeaIceProducts,
-}
-
-impl StagedRun {
-    /// Flattens into the legacy [`PipelineProducts`] shape.
-    pub fn into_legacy(self) -> PipelineProducts {
-        let StagedRun {
-            track,
-            labeled,
-            models,
-            products,
-        } = self;
-        let sea_surfaces = products.surfaces_by_name();
-        PipelineProducts {
-            segments: track.segments,
-            auto_labels: labeled.labels,
-            drift: labeled.drift,
-            autolabel_accuracy: labeled.autolabel_accuracy,
-            reports: models.reports(),
-            lstm_confusion: models.lstm_confusion.clone(),
-            lstm: models.lstm,
-            mlp: models.mlp,
-            classes: products.classes,
-            classification_accuracy_vs_truth: products.classification_accuracy_vs_truth,
-            sea_surfaces,
-            freeboard_atl03: products.freeboard_atl03,
-            atl07_classes: products.atl07_classes,
-            atl10: products.atl10,
-            surface_gap_m: products.surface_gap_m,
-        }
-    }
 }
 
 /// Builder composing the four stages with optional per-stage overrides.

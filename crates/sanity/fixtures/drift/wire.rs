@@ -7,17 +7,23 @@ pub const BATCH_RECORDS: usize = 256;
 pub const MAX_BATCH_BYTES: usize = 1 << 20;
 pub const ERR_BAD_REQUEST: u16 = 1;
 
+pub const REQUEST_KINDS: [&str; 2] = ["ping", "query"];
+
+impl Request {
+    pub fn tag(&self) -> u8 {
+        match self {
+            Request::Ping => 0,
+            Request::Query { .. } => 1,
+        }
+    }
+}
+
 impl Codec for Request {
     const TAG: [u8; 4] = *b"SIRQ";
     const VERSION: u16 = 3;
 
     fn encode(&self, w: &mut W) {
-        match self {
-            Request::Ping => w.put_u8(0),
-            Request::Query { a, b } => {
-                w.put_u8(1);
-            }
-        }
+        w.put_u8(self.tag());
     }
 
     fn decode(r: &mut R) -> Result<Self, E> {

@@ -8,8 +8,9 @@
 //! a missed edit produces the worst kind of bug: peers that interop in
 //! this repo's tests but not with the document. Checked:
 //!
-//! - request/response kind maps (encode side, decode side, and the §3.2
-//!   / §3.3 tables — all three must agree),
+//! - kind maps: the request-kind table (`Request::tag` arms) or the
+//!   response encode arms, the decode arms, and the §3.2 / §3.3 tables
+//!   — all three must agree,
 //! - error code constants vs the §3.6 table (matched by keyword),
 //! - `FRAME_HEADER_BYTES` vs the §2 frame table's payload offset,
 //! - `MAX_FRAME_BYTES` / `BATCH_RECORDS` / `MAX_BATCH_BYTES` vs the
@@ -188,12 +189,13 @@ pub fn check(files: &[SourceFile], protocol_md: Option<&str>) -> Vec<Finding> {
         }
     }
 
-    // Kind maps: encode arms, decode arms, and the doc tables must be
-    // the same mapping, for both Request and Response.
-    for enum_name in ["Request", "Response"] {
-        let (encode, decode) = parse_kind_maps(wire, enum_name);
+    // Kind maps: the tag side (Request's kind table, Response's encode
+    // arms), the decode arms, and the doc tables must be the same
+    // mapping.
+    for (enum_name, side) in [("Request", "kind table"), ("Response", "encode arm")] {
+        let (tags, decode) = parse_kind_maps(wire, enum_name);
         let doc_table = doc_kind_table(doc, enum_name);
-        compare_kind_maps(wire, enum_name, "encode arm", &encode, &doc_table, &mut out);
+        compare_kind_maps(wire, enum_name, side, &tags, &doc_table, &mut out);
         compare_kind_maps(wire, enum_name, "decode arm", &decode, &doc_table, &mut out);
     }
 
@@ -462,8 +464,9 @@ fn doc_version_for_tag(version_line: &str, tag: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Extracts (kind → variant) maps from the codec: encode arms
-/// (`Enum::Name .. => [{] w.put_u8(N)`) and decode arms
+/// Extracts (kind → variant) maps from the codec: tag arms — a kind
+/// table's `Enum::Name .. => N` or an encode arm's
+/// `Enum::Name .. => [{] w.put_u8(N)` — and decode arms
 /// (`N => Enum::Name`).
 fn parse_kind_maps(
     f: &SourceFile,
@@ -511,6 +514,13 @@ fn parse_kind_maps(
         j += 2;
         if matches!(toks.get(j), Some(t) if t.is_punct('{')) {
             j += 1;
+        }
+        // Kind-table arm: `=> N` ending the arm.
+        if let Some(kind) = toks.get(j).and_then(|t| t.num()).and_then(parse_num) {
+            if matches!(toks.get(j + 1), Some(t) if t.is_punct(',') || t.is_punct('}')) {
+                encode.insert(kind, variant.to_string());
+            }
+            continue;
         }
         // `w . put_u8 ( N`
         if toks.get(j).and_then(|t| t.ident()).is_some()
@@ -606,16 +616,20 @@ pub const MAX_FRAME_BYTES: usize = 4 << 20;
 pub const BATCH_RECORDS: usize = 256;
 pub const MAX_BATCH_BYTES: usize = 1 << 20;
 pub const ERR_BAD_REQUEST: u16 = 1;
+pub const REQUEST_KINDS: [&str; 2] = ["ping", "query"];
+impl Request {
+    pub fn tag(&self) -> u8 {
+        match self {
+            Request::Ping => 0,
+            Request::Query { .. } => 1,
+        }
+    }
+}
 impl Codec for Request {
     const TAG: [u8; 4] = *b"SIRQ";
     const VERSION: u16 = 3;
     fn encode(&self, w: &mut W) {
-        match self {
-            Request::Ping => w.put_u8(0),
-            Request::Query { a, b } => {
-                w.put_u8(1);
-            }
-        }
+        w.put_u8(self.tag());
     }
     fn decode(r: &mut R) -> Result<Self, E> {
         Ok(match r.u8()? {
@@ -659,10 +673,10 @@ or a 1 MiB byte budget.\n\
 
     #[test]
     fn kind_renumber_is_drift() {
-        let src = WIRE_OK.replace("w.put_u8(1)", "w.put_u8(2)");
+        let src = WIRE_OK.replace("Request::Query { .. } => 1,", "Request::Query { .. } => 2,");
         let fs = check(&[wire_file(&src)], Some(DOC_OK));
         assert!(
-            fs.iter().any(|f| f.message.contains("encode arm")),
+            fs.iter().any(|f| f.message.contains("kind table")),
             "{fs:?}"
         );
     }

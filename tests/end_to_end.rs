@@ -1,34 +1,34 @@
 //! End-to-end integration: the four-stage pipeline across all crates,
-//! exercised through the legacy `Pipeline::run()` compatibility wrapper
-//! (which chains the staged API under the hood — see
-//! `tests/staged_pipeline.rs` for the stage-level coverage).
+//! run through `PipelineBuilder::run` (see `tests/staged_pipeline.rs`
+//! for the stage-level coverage).
 
 use icesat2_seaice::scene::SurfaceClass;
-use icesat2_seaice::seaice::pipeline::{Pipeline, PipelineConfig};
+use icesat2_seaice::seaice::pipeline::PipelineConfig;
+use icesat2_seaice::seaice::stages::PipelineBuilder;
 
 #[test]
 fn full_pipeline_products_are_coherent() {
-    let pipeline = Pipeline::new(PipelineConfig::small(1002));
-    let products = pipeline.run();
+    let run = PipelineBuilder::new(PipelineConfig::small(1002)).run();
+    let segments = &run.track.segments;
+    let products = &run.products;
 
     // --- Stage 1: curation + auto-labeling.
-    assert!(products.segments.len() > 2_000, "too few 2 m segments");
-    assert_eq!(products.auto_labels.len(), products.segments.len());
-    assert!(products.auto_labels.iter().all(|l| l.label.is_some()));
+    assert!(segments.len() > 2_000, "too few 2 m segments");
+    assert_eq!(run.labeled.labels.len(), segments.len());
+    assert!(run.labeled.labels.iter().all(|l| l.label.is_some()));
     assert!(
-        products.autolabel_accuracy > 0.85,
+        run.labeled.autolabel_accuracy > 0.85,
         "auto-label accuracy {}",
-        products.autolabel_accuracy
+        run.labeled.autolabel_accuracy
     );
     // Segments are along-track ordered with 2 m indexing.
-    assert!(products
-        .segments
+    assert!(segments
         .windows(2)
         .all(|w| w[0].index < w[1].index && w[0].along_track_m < w[1].along_track_m));
 
     // --- Stage 2: the paper's model ranking (LSTM wins).
-    let lstm = products.reports["LSTM"];
-    let mlp = products.reports["MLP"];
+    let lstm = run.models.lstm_report;
+    let mlp = run.models.mlp_report;
     assert!(lstm.accuracy > 0.85, "LSTM accuracy {}", lstm.accuracy);
     assert!(
         lstm.accuracy >= mlp.accuracy,
@@ -37,12 +37,12 @@ fn full_pipeline_products_are_coherent() {
         mlp.accuracy
     );
     // Figure 4 ordering: majority class has the best recall.
-    let m = &products.lstm_confusion;
+    let m = &run.models.lstm_confusion;
     assert!(m.recall(0) >= m.recall(1));
     assert!(m.recall(0) >= m.recall(2));
 
     // --- Stage 3: inference covers every segment.
-    assert_eq!(products.classes.len(), products.segments.len());
+    assert_eq!(products.classes.len(), segments.len());
     assert!(
         products.classification_accuracy_vs_truth > 0.85,
         "truth accuracy {}",
@@ -58,7 +58,8 @@ fn full_pipeline_products_are_coherent() {
 
     // --- Stage 4: surfaces and freeboard.
     assert_eq!(products.sea_surfaces.len(), 4);
-    for (name, ss) in &products.sea_surfaces {
+    for ss in &products.sea_surfaces {
+        let name = ss.method.name();
         assert!(!ss.centers_m.is_empty(), "{name} produced no windows");
         assert!(
             ss.href_m.iter().all(|h| h.abs() < 1.0),
@@ -84,35 +85,28 @@ fn full_pipeline_products_are_coherent() {
 
 #[test]
 fn pipeline_is_deterministic() {
-    let a = Pipeline::new(PipelineConfig::small(1003)).run();
-    let b = Pipeline::new(PipelineConfig::small(1003)).run();
-    assert_eq!(a.segments.len(), b.segments.len());
-    assert_eq!(a.classes, b.classes);
-    assert_eq!(a.drift.dx_m, b.drift.dx_m);
-    assert_eq!(
-        a.freeboard_atl03.points.len(),
-        b.freeboard_atl03.points.len()
-    );
-    for (x, y) in a
-        .freeboard_atl03
-        .points
-        .iter()
-        .zip(&b.freeboard_atl03.points)
-    {
+    let a = PipelineBuilder::new(PipelineConfig::small(1003)).run();
+    let b = PipelineBuilder::new(PipelineConfig::small(1003)).run();
+    assert_eq!(a.track.segments.len(), b.track.segments.len());
+    assert_eq!(a.products.classes, b.products.classes);
+    assert_eq!(a.labeled.drift.dx_m, b.labeled.drift.dx_m);
+    let (a, b) = (&a.products.freeboard_atl03, &b.products.freeboard_atl03);
+    assert_eq!(a.points.len(), b.points.len());
+    for (x, y) in a.points.iter().zip(&b.points) {
         assert_eq!(x.freeboard_m, y.freeboard_m);
     }
 }
 
 #[test]
 fn different_seeds_give_different_scenes_same_quality() {
-    let a = Pipeline::new(PipelineConfig::small(1005)).run();
-    let b = Pipeline::new(PipelineConfig::small(1006)).run();
+    let a = PipelineBuilder::new(PipelineConfig::small(1005)).run();
+    let b = PipelineBuilder::new(PipelineConfig::small(1006)).run();
     // Different truth, both pipelines still work.
-    assert!(a.autolabel_accuracy > 0.85);
-    assert!(b.autolabel_accuracy > 0.85);
+    assert!(a.labeled.autolabel_accuracy > 0.85);
+    assert!(b.labeled.autolabel_accuracy > 0.85);
     assert_ne!(
-        a.segments.len(),
-        b.segments.len(),
+        a.track.segments.len(),
+        b.track.segments.len(),
         "different scenes should photon-count differently"
     );
 }

@@ -1,55 +1,11 @@
-//! The staged-artifact API: equivalence with the legacy entry point,
-//! artifact persistence, cross-granule model reuse, and the fleet driver.
+//! The staged-artifact API: artifact persistence, cross-granule model
+//! reuse, and the fleet driver.
 
 use icesat2_seaice::seaice::heuristic::{heuristic_classes, HeuristicConfig};
 use icesat2_seaice::seaice::pipeline::{Pipeline, PipelineConfig};
 use icesat2_seaice::seaice::stages::{PipelineBuilder, TrainedModels};
 use icesat2_seaice::seaice::{eval, Artifact, FleetDriver};
 use icesat2_seaice::sparklite::Cluster;
-
-/// The composed staged API must produce identical products to the legacy
-/// `Pipeline::run()` for the same config — stage boundaries are pure
-/// refactoring, not behaviour.
-#[test]
-fn staged_api_matches_legacy_run() {
-    let cfg = PipelineConfig::small(42);
-    let legacy = Pipeline::new(cfg.clone()).run();
-    let staged = PipelineBuilder::new(cfg).run();
-
-    // Stage 1: identical curation.
-    assert_eq!(staged.track.segments, legacy.segments);
-
-    // Stage 2: identical labels and drift.
-    assert_eq!(staged.labeled.labels, legacy.auto_labels);
-    assert_eq!(staged.labeled.drift, legacy.drift);
-    assert_eq!(staged.labeled.autolabel_accuracy, legacy.autolabel_accuracy);
-
-    // Stage 3: identical held-out evaluation and parameters.
-    assert_eq!(staged.models.lstm_report, legacy.reports["LSTM"]);
-    assert_eq!(staged.models.mlp_report, legacy.reports["MLP"]);
-    assert_eq!(staged.models.lstm_confusion, legacy.lstm_confusion);
-    assert_eq!(
-        staged.models.lstm.model.flat_params(),
-        legacy.lstm.model.flat_params()
-    );
-
-    // Stage 4: identical products.
-    assert_eq!(staged.products.classes, legacy.classes);
-    assert_eq!(
-        staged.products.classification_accuracy_vs_truth,
-        legacy.classification_accuracy_vs_truth
-    );
-    for ss in &staged.products.sea_surfaces {
-        let legacy_ss = &legacy.sea_surfaces[ss.method.name()];
-        assert_eq!(ss, legacy_ss, "surface {}", ss.method.name());
-    }
-    assert_eq!(
-        staged.products.freeboard_atl03.points,
-        legacy.freeboard_atl03.points
-    );
-    assert_eq!(staged.products.atl07_classes, legacy.atl07_classes);
-    assert_eq!(staged.products.surface_gap_m, legacy.surface_gap_m);
-}
 
 /// Every stage artifact must survive a disk roundtrip, and a reloaded
 /// `TrainedModels` must predict identically.

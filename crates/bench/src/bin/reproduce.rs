@@ -1,38 +1,25 @@
-//! Regenerates the paper's tables and figures, and the perf trajectory.
+//! Regenerates the paper's tables and figures and runs the system demos.
 //!
 //! ```text
-//! reproduce [all|table1..table5|fig2|fig4|fig6|fig8|fig10|ablation|catalog|compact|serve|chaos|observe|thickness|bench] \
-//!           [--quick] [--bench-json FILE]
+//! reproduce [all|table1..table5|fig2|fig4|fig6|fig8|fig10|ablation|catalog|compact|serve|chaos|observe|thickness] \
+//!           [--quick]
 //! ```
 //!
 //! Run with `--release`; the training experiments are compute-bound.
 //! `--quick` switches to the reduced workloads the criterion benches use.
-//! `--bench-json FILE` runs the throughput suite (the `bench` target) and
-//! writes its machine-readable JSON to `FILE` — the `BENCH_*.json`
-//! trajectory future PRs compare against.
 
 use seaice_bench::common::Scale;
 use seaice_bench::{
-    catalog, chaos, compact, figures, observe, perf, serve, tables, thickness, ExperimentOutput,
+    catalog, chaos, compact, figures, observe, serve, tables, thickness, ExperimentOutput,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // One pass: flags consume their value, everything else is a target.
     let mut quick = false;
-    let mut bench_json: Option<String> = None;
     let mut targets: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    for arg in &args {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--bench-json" => match iter.next() {
-                Some(path) if !path.starts_with("--") => bench_json = Some(path.clone()),
-                _ => {
-                    eprintln!("--bench-json requires a file path argument");
-                    std::process::exit(2);
-                }
-            },
             other if !other.starts_with("--") => targets.push(other),
             unknown => {
                 eprintln!("unknown flag '{unknown}'");
@@ -41,10 +28,6 @@ fn main() {
         }
     }
     let scale = if quick { Scale::Quick } else { Scale::Full };
-    // `--bench-json` implies the bench target.
-    if bench_json.is_some() && !targets.iter().any(|t| *t == "bench" || *t == "all") {
-        targets.push("bench");
-    }
     let want = |id: &str| targets.is_empty() || targets.contains(&"all") || targets.contains(&id);
 
     let mut ran = 0usize;
@@ -67,7 +50,6 @@ fn main() {
         ("chaos", chaos::chaos),
         ("observe", observe::observe),
         ("thickness", thickness::thickness),
-        ("bench", perf::bench),
     ];
     for (id, runner) in runners {
         if !want(id) {
@@ -88,20 +70,10 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join("  ")
         );
-        if out.id == "bench" {
-            if let Some(path) = &bench_json {
-                let json = perf::to_json(&out, scale);
-                if let Err(e) = std::fs::write(path, &json) {
-                    eprintln!("failed to write {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("[bench] wrote {path}");
-            }
-        }
     }
     if ran == 0 {
         eprintln!(
-            "unknown experiment '{}'. Options: all table1..table5 fig2 fig4 fig6 fig8 fig10 ablation catalog compact serve chaos observe thickness bench",
+            "unknown experiment '{}'. Options: all table1..table5 fig2 fig4 fig6 fig8 fig10 ablation catalog compact serve chaos observe thickness",
             targets.join(" ")
         );
         std::process::exit(2);

@@ -6,7 +6,7 @@
 //! [`CatalogSink`] sink), the per-beam freeboard products land in a
 //! tiled EPSG-3976 store, and the same store then answers spatial,
 //! temporal, and gridded-composite queries — including a small query
-//! throughput measurement (the serve-path half of `BENCH_*.json`).
+//! throughput measurement.
 
 use std::time::Instant;
 
@@ -24,9 +24,7 @@ pub fn grid_for(cfg: &seaice::PipelineConfig) -> GridConfig {
 }
 
 /// Measures hot-cache summary-query throughput (queries/s) over a
-/// quarter-domain rect. Shared by the catalog experiment and
-/// `perf::bench`, so `catalog_queries_per_s` means the same workload in
-/// both reports.
+/// quarter-domain rect.
 pub fn query_throughput(catalog: &Catalog, scale: Scale) -> f64 {
     let domain = catalog.grid().domain();
     let sub = MapRect::new(
@@ -99,8 +97,7 @@ pub fn catalog(scale: Scale) -> ExperimentOutput {
     catalog.validate().expect("tiles valid");
 
     // The timer wrapped classification + ingest, so this is end-to-end
-    // *build* throughput — deliberately named differently from
-    // `perf::bench`'s pure-ingest `catalog_ingest_samples_per_s`.
+    // *build* throughput, not pure ingest.
     let build_rate = ingest.n_samples as f64 / ingest_s.max(1e-9);
 
     let mut report = String::from("CATALOG — gridded product store + concurrent query engine\n");

@@ -4,8 +4,7 @@
 //! A synthetic catalog is served three ways and timed:
 //!
 //! - **clean** — the plain client against the server, no deadlines, no
-//!   retries (the pre-resilience baseline, comparable to the
-//!   `serve_q_*` sweep);
+//!   retries (the pre-resilience baseline);
 //! - **resilient** — the same direct connection with deadlines + retry
 //!   armed, measuring the overhead of the resilience machinery alone
 //!   (`chaos_retry_overhead_pct`);
@@ -18,8 +17,7 @@
 //! Finally a two-replica [`ShardRouter`] is driven through a full
 //! outage: both replicas down (typed `Degraded`), then restored —
 //! `chaos_recovery_ms` is the time from restoration to the first
-//! complete answer, the breaker + prober recovery latency. All numbers
-//! land in the `BENCH_*.json` trajectory via [`crate::perf::bench`].
+//! complete answer, the breaker + prober recovery latency.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -130,8 +128,7 @@ fn throughput(client: &mut CatalogClient, reps: usize) -> f64 {
 }
 
 /// Runs the measurement pass: builds the store, serves it, and times
-/// the clean / resilient / faulted / recovery paths. Shared with
-/// [`crate::perf::bench`] so the numbers land in the perf trajectory.
+/// the clean / resilient / faulted / recovery paths.
 pub fn measure(scale: Scale) -> ChaosNumbers {
     let (clean_reps, fault_attempts) = match scale {
         Scale::Quick => (300usize, 80usize),
@@ -279,7 +276,7 @@ pub fn measure(scale: Scale) -> ChaosNumbers {
     }
 }
 
-/// [`ChaosNumbers`] as `BENCH_*.json` metric pairs.
+/// [`ChaosNumbers`] as experiment metric pairs.
 pub fn metrics_of(n: &ChaosNumbers) -> Vec<(String, f64)> {
     vec![
         ("serve_clean_q_per_s".into(), n.clean_q_per_s),

@@ -17,7 +17,6 @@ pub mod common;
 pub mod compact;
 pub mod figures;
 pub mod observe;
-pub mod perf;
 pub mod serve;
 pub mod tables;
 pub mod thickness;

@@ -20,8 +20,7 @@
 //!   trace total, and the server total nests inside the client total.
 //!
 //! The report renders a scraped metric snapshot excerpt and the traced
-//! request timeline; the headline numbers land in the `BENCH_*.json`
-//! trajectory via [`crate::perf::bench`] as `obs_*` metrics.
+//! request timeline; the headline numbers are the `observe_*` metrics.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,7 +103,7 @@ fn assert_monotone(earlier: &str, later: &str) {
 
 /// Runs the measurement pass: serves the chaos store, drives a traced
 /// resilient client through a seeded fault proxy, and scrapes
-/// `Introspect` concurrently. Shared with [`crate::perf::bench`].
+/// `Introspect` concurrently.
 pub fn measure(scale: Scale) -> ObserveNumbers {
     let attempts_budget = match scale {
         Scale::Quick => 60usize,
@@ -274,7 +273,7 @@ pub fn measure(scale: Scale) -> ObserveNumbers {
     }
 }
 
-/// [`ObserveNumbers`] as `BENCH_*.json` metric pairs.
+/// [`ObserveNumbers`] as experiment metric pairs.
 pub fn metrics_of(n: &ObserveNumbers) -> Vec<(String, f64)> {
     vec![
         ("observe_completed_q".into(), n.completed),

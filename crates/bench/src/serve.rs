@@ -6,262 +6,101 @@
 //! catalogs. Both get servers; a `CatalogClient` and a `ShardRouter`
 //! then answer the same queries as the in-process store, and the
 //! experiment asserts the three agree **bit for bit** — the protocol's
-//! headline guarantee — before sweeping reader-thread counts × server
-//! tile-cache capacities to characterise serve-path scaling (the
-//! ROADMAP's Tables II/V-style serve table, recorded in
-//! `BENCH_4.json`).
+//! headline guarantee. A final wave holds many connections open at
+//! once (64 quick, 512 full), each pipelining several requests, and
+//! asserts every answer bit-identical to the in-process one.
+//!
+//! The experiment checks answers and times nothing; serve-path
+//! performance is measured by the `perfbench` package.
 
-use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use seaice::FleetDriver;
 use seaice_catalog::client::partition_products;
-use seaice_catalog::obs::parse_exposition;
 use seaice_catalog::{
-    Catalog, CatalogClient, CatalogOptions, CatalogServer, MapRect, ShardRouter, ShardSpec,
-    TileScope, TimeRange,
+    Catalog, CatalogClient, CatalogServer, MapRect, ShardRouter, ShardSpec, TileScope, TimeRange,
 };
 use sparklite::Cluster;
 
 use crate::catalog::grid_for;
 use crate::common::{shared_run, ExperimentOutput, Scale};
 
-/// One measured point of the serve-path scaling sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepPoint {
-    /// Concurrent reader connections.
-    pub threads: usize,
-    /// Server-side tile-cache capacity.
-    pub cache_capacity: usize,
-    /// Aggregate served summary queries per second.
-    pub queries_per_s: f64,
-    /// Mean per-request latency, milliseconds.
-    pub mean_latency_ms: f64,
+/// Connection count of the multiplexed wave at `scale`.
+fn mux_connections(scale: Scale) -> usize {
+    match scale {
+        Scale::Quick => 64,
+        Scale::Full => 512,
+    }
 }
 
-/// The quarter-domain rect the throughput queries hit (same shape as
-/// the in-process `catalog_queries_per_s` workload, so the two metrics
-/// compare).
-fn throughput_rect(catalog_domain: &MapRect) -> MapRect {
-    MapRect::new(
-        catalog_domain.min,
+/// The many-connection pipelined check: holds [`mux_connections`]
+/// client connections open against `addr` at once, pipelines four
+/// quarter-domain summary requests per connection per round (the whole
+/// round is submitted before any answer is awaited), and asserts every
+/// answer bit-identical to `local`'s in-process one. Returns the number
+/// of answers verified.
+fn multiplexed_wave(local: &Catalog, addr: &str, scale: Scale) -> usize {
+    const IN_FLIGHT: usize = 4;
+    let (threads, rounds) = match scale {
+        Scale::Quick => (8, 3),
+        Scale::Full => (16, 5),
+    };
+    let domain = local.grid().domain();
+    let rect = MapRect::new(
+        domain.min,
         icesat_geo::MapPoint::new(
-            0.5 * (catalog_domain.min.x + catalog_domain.max.x),
-            0.5 * (catalog_domain.min.y + catalog_domain.max.y),
+            0.5 * (domain.min.x + domain.max.x),
+            0.5 * (domain.min.y + domain.max.y),
         ),
-    )
-}
-
-/// Runs `reps` summary queries per connection over `threads` parallel
-/// client connections; returns aggregate throughput and mean latency.
-fn measure(addr: &str, threads: usize, reps: usize) -> (f64, f64) {
-    let start = Instant::now();
-    let latencies: Vec<f64> = std::thread::scope(|s| {
+    );
+    let want = local
+        .query_rect(&rect, TimeRange::all())
+        .expect("mux truth");
+    let per_thread = mux_connections(scale) / threads;
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
+                let want = &want;
                 s.spawn(move || {
-                    let mut client = CatalogClient::connect(addr).expect("sweep client");
-                    let rect = throughput_rect(&client.grid().domain());
-                    let mut lats = Vec::with_capacity(reps);
-                    for _ in 0..reps {
-                        let t0 = Instant::now();
-                        std::hint::black_box(
-                            client
-                                .query_rect(&rect, TimeRange::all())
-                                .expect("sweep query"),
-                        );
-                        lats.push(t0.elapsed().as_secs_f64() * 1e3);
+                    let mut clients: Vec<CatalogClient> = (0..per_thread)
+                        .map(|_| CatalogClient::connect(addr).expect("mux client"))
+                        .collect();
+                    let mut verified = 0usize;
+                    for _ in 0..rounds {
+                        let waves: Vec<Vec<_>> = clients
+                            .iter_mut()
+                            .map(|client| {
+                                (0..IN_FLIGHT)
+                                    .map(|_| {
+                                        client
+                                            .submit_query_rect(&rect, TimeRange::all())
+                                            .expect("mux submit")
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        for (client, wave) in clients.iter_mut().zip(waves) {
+                            for pending in wave {
+                                let got = client.wait(pending).expect("mux wait");
+                                assert_eq!(&got, want, "multiplexed summary must match local");
+                                assert_eq!(
+                                    got.mean_ice_freeboard_m.to_bits(),
+                                    want.mean_ice_freeboard_m.to_bits(),
+                                    "multiplexed answer must be bit-identical to in-process"
+                                );
+                                verified += 1;
+                            }
+                        }
                     }
-                    lats
+                    verified
                 })
             })
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("sweep thread"))
-            .collect()
-    });
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    let total = (threads * reps) as f64;
-    let mean_ms = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
-    (total / wall, mean_ms)
-}
-
-/// Sweeps reader threads × tile-cache capacities against read-only
-/// server instances over `cat_dir` (the monolithic store). Shared with
-/// `perf::bench` so `BENCH_4.json` carries the curve.
-pub fn sweep(cat_dir: &Path, scale: Scale) -> Vec<SweepPoint> {
-    let (thread_counts, cache_caps, reps): (&[usize], &[usize], usize) = match scale {
-        Scale::Quick => (&[1, 2], &[2, 64], 40),
-        Scale::Full => (&[1, 2, 4], &[2, 16, 256], 150),
-    };
-    let mut points = Vec::new();
-    for &cache_capacity in cache_caps {
-        let catalog = Catalog::open_with(
-            cat_dir,
-            CatalogOptions {
-                cache_capacity,
-                ..CatalogOptions::default()
-            },
-        )
-        .expect("sweep catalog reopen");
-        let server = CatalogServer::serve(Arc::new(catalog), "127.0.0.1:0").expect("sweep server");
-        let addr = server.addr().to_string();
-        // One warmup pass so cold disk reads don't skew the first cell.
-        let _ = measure(&addr, 1, reps.min(10));
-        for &threads in thread_counts {
-            let (queries_per_s, mean_latency_ms) = measure(&addr, threads, reps);
-            points.push(SweepPoint {
-                threads,
-                cache_capacity,
-                queries_per_s,
-                mean_latency_ms,
-            });
-        }
-        server.shutdown();
-    }
-    points
-}
-
-/// One measured point of the multiplexed sweep: many concurrent
-/// connections held open at once, each keeping several pipelined
-/// requests in flight on the protocol-v2 request-id framing.
-#[derive(Debug, Clone, Copy)]
-pub struct MuxPoint {
-    /// Concurrent client connections held open through the sweep.
-    pub connections: usize,
-    /// Pipelined requests outstanding per connection per wave.
-    pub in_flight: usize,
-    /// Aggregate served summary queries per second.
-    pub queries_per_s: f64,
-    /// Server-side p99 request latency (arrival → response queued),
-    /// microseconds, scraped from the `Introspect` exposition.
-    pub p99_us: f64,
-}
-
-/// The multiplexed serving sweep: holds `connections` concurrent
-/// client connections open against one fresh server over `cat_dir`
-/// (512 at full scale, 64 quick), pipelines `in_flight` requests per
-/// connection per wave, asserts every answer bit-identical to the
-/// in-process store, and scrapes the server's own
-/// `server_request_us_p99_us{kind="query_rect"}` histogram for the p99
-/// recorded in the `BENCH_*.json` trajectory.
-pub fn mux_sweep(cat_dir: &Path, scale: Scale) -> MuxPoint {
-    let (connections, threads, in_flight, rounds): (usize, usize, usize, usize) = match scale {
-        Scale::Quick => (64, 8, 4, 3),
-        Scale::Full => (512, 16, 4, 5),
-    };
-    let catalog = Arc::new(
-        Catalog::open_with(
-            cat_dir,
-            CatalogOptions {
-                cache_capacity: 256,
-                ..CatalogOptions::default()
-            },
-        )
-        .expect("mux catalog reopen"),
-    );
-    let rect = throughput_rect(&catalog.grid().domain());
-    let want_bits = catalog
-        .query_rect(&rect, TimeRange::all())
-        .expect("mux truth")
-        .mean_ice_freeboard_m
-        .to_bits();
-    // A fresh server, so the scraped histogram holds exactly this
-    // sweep's requests (plus per-connection handshakes).
-    let server = CatalogServer::serve(Arc::clone(&catalog), "127.0.0.1:0").expect("mux server");
-    let addr = server.addr().to_string();
-
-    let per_thread = connections / threads;
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let addr = addr.clone();
-            s.spawn(move || {
-                let mut clients: Vec<CatalogClient> = (0..per_thread)
-                    .map(|_| CatalogClient::connect(&addr).expect("mux client"))
-                    .collect();
-                for _ in 0..rounds {
-                    // Submit the whole wave before waiting on any of
-                    // it: every connection this thread owns holds
-                    // `in_flight` requests outstanding at once.
-                    let waves: Vec<Vec<_>> = clients
-                        .iter_mut()
-                        .map(|client| {
-                            (0..in_flight)
-                                .map(|_| {
-                                    client
-                                        .submit_query_rect(&rect, TimeRange::all())
-                                        .expect("mux submit")
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    for (client, wave) in clients.iter_mut().zip(waves) {
-                        for pending in wave {
-                            let got = client.wait(pending).expect("mux wait");
-                            assert_eq!(
-                                got.mean_ice_freeboard_m.to_bits(),
-                                want_bits,
-                                "multiplexed answer must be bit-identical to in-process"
-                            );
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    let queries_per_s = (connections * in_flight * rounds) as f64 / wall;
-
-    let mut probe = CatalogClient::connect(&addr).expect("mux probe");
-    let exposition = probe.introspect().expect("mux introspect");
-    let p99_us = parse_exposition(&exposition)
-        .get(r#"server_request_us_p99_us{kind="query_rect"}"#)
-        .copied()
-        .unwrap_or(0.0);
-    server.shutdown();
-    MuxPoint {
-        connections,
-        in_flight,
-        queries_per_s,
-        p99_us,
-    }
-}
-
-/// Renders the sweep as a Tables II/V-style grid: rows = reader
-/// threads, columns = cache capacities, cells = queries/s (mean ms).
-pub fn render_sweep(points: &[SweepPoint]) -> String {
-    let mut caches: Vec<usize> = points.iter().map(|p| p.cache_capacity).collect();
-    caches.sort_unstable();
-    caches.dedup();
-    let mut threads: Vec<usize> = points.iter().map(|p| p.threads).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    let mut s = String::from("  served queries/s (mean latency ms) by readers x tile cache\n");
-    s.push_str("  readers \\ cache ");
-    for c in &caches {
-        s.push_str(&format!("{c:>18}"));
-    }
-    s.push('\n');
-    for t in &threads {
-        s.push_str(&format!("  {t:>15} "));
-        for c in &caches {
-            match points
-                .iter()
-                .find(|p| p.threads == *t && p.cache_capacity == *c)
-            {
-                Some(p) => s.push_str(&format!(
-                    "{:>10.0} ({:>4.2})",
-                    p.queries_per_s, p.mean_latency_ms
-                )),
-                None => s.push_str(&format!("{:>18}", "-")),
-            }
-        }
-        s.push('\n');
-    }
-    s
+            .map(|h| h.join().expect("mux thread"))
+            .sum()
+    })
 }
 
 /// Runs the serve experiment at `scale`.
@@ -316,8 +155,8 @@ pub fn serve(scale: Scale) -> ExperimentOutput {
         .iter()
         .map(|c| CatalogServer::serve(Arc::clone(c), "127.0.0.1:0").expect("shard server"))
         .collect();
-    let mut client =
-        CatalogClient::connect(&full_server.addr().to_string()).expect("client connect");
+    let full_addr = full_server.addr().to_string();
+    let mut client = CatalogClient::connect(&full_addr).expect("client connect");
     let specs: Vec<ShardSpec> = shard_servers
         .iter()
         .zip(&scopes)
@@ -350,17 +189,7 @@ pub fn serve(scale: Scale) -> ExperimentOutput {
         router.query_time_range(TimeRange::all()).expect("layers")
     );
 
-    // Routed throughput (2 shards behind one logical endpoint).
-    let reps = match scale {
-        Scale::Quick => 60usize,
-        Scale::Full => 250,
-    };
-    let rect = throughput_rect(&domain);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(router.query_rect(&rect, TimeRange::all()).expect("routed"));
-    }
-    let routed_qps = reps as f64 / t0.elapsed().as_secs_f64().max(1e-9);
+    let mux_answers = multiplexed_wave(&local, &full_addr, scale);
 
     for server in shard_servers {
         server.shutdown();
@@ -368,16 +197,6 @@ pub fn serve(scale: Scale) -> ExperimentOutput {
     full_server.shutdown();
     drop(client);
     drop(router);
-
-    // Scaling sweep over the monolithic store.
-    let points = sweep(&local_dir, scale);
-    let best = points
-        .iter()
-        .map(|p| p.queries_per_s)
-        .fold(f64::NEG_INFINITY, f64::max);
-    // Protocol-v2 multiplexed sweep: hundreds of concurrent
-    // connections, each pipelining requests over the same store.
-    let mux = mux_sweep(&local_dir, scale);
 
     let mut report = String::from("SERVE — TCP front-end, shard router, writer leases\n");
     report.push_str(&format!(
@@ -389,32 +208,19 @@ pub fn serve(scale: Scale) -> ExperimentOutput {
         want.n_samples, want.mean_ice_freeboard_m
     ));
     report.push_str(&format!(
-        "  routed (2 shards): {routed_qps:.0} queries/s over a quarter-domain rect\n"
-    ));
-    report.push_str(&render_sweep(&points));
-    report.push_str(&format!(
-        "  multiplexed: {} connections x {} in flight -> {:.0} queries/s, server p99 {:.0} us\n",
-        mux.connections, mux.in_flight, mux.queries_per_s, mux.p99_us
+        "  multiplexed: {} connections, {} pipelined answers bit-identical to in-process\n",
+        mux_connections(scale),
+        mux_answers
     ));
 
-    let mut metrics: Vec<(String, f64)> = vec![
+    let metrics: Vec<(String, f64)> = vec![
         ("serve_samples".into(), want.n_samples as f64),
-        ("serve_routed_queries_per_s".into(), routed_qps),
-        ("serve_best_queries_per_s".into(), best),
-        ("serve_mux_connections".into(), mux.connections as f64),
-        ("serve_mux_q_per_s".into(), mux.queries_per_s),
-        ("serve_mux_p99_us".into(), mux.p99_us),
+        (
+            "serve_multiplexed_connections".into(),
+            mux_connections(scale) as f64,
+        ),
+        ("serve_multiplexed_answers".into(), mux_answers as f64),
     ];
-    for p in &points {
-        metrics.push((
-            format!("serve_q_t{}_c{}_per_s", p.threads, p.cache_capacity),
-            p.queries_per_s,
-        ));
-        metrics.push((
-            format!("serve_lat_t{}_c{}_ms", p.threads, p.cache_capacity),
-            p.mean_latency_ms,
-        ));
-    }
 
     let _ = std::fs::remove_dir_all(&fleet_dir);
     for dir in std::iter::once(&local_dir).chain(&shard_dirs) {
@@ -437,15 +243,8 @@ mod tests {
         let out = serve(Scale::Quick);
         assert_eq!(out.id, "serve");
         assert!(out.metric("serve_samples").unwrap() > 1_000.0);
-        assert!(out.metric("serve_routed_queries_per_s").unwrap() > 0.0);
-        assert!(out.metric("serve_best_queries_per_s").unwrap() > 0.0);
-        // The sweep produced every grid point.
-        assert!(out.metric("serve_q_t1_c2_per_s").is_some());
-        assert!(out.metric("serve_q_t2_c64_per_s").is_some());
-        assert!(out.report.contains("readers \\ cache"));
-        // The multiplexed sweep landed with a served p99.
-        assert!(out.metric("serve_mux_connections").unwrap() >= 64.0);
-        assert!(out.metric("serve_mux_q_per_s").unwrap() > 0.0);
-        assert!(out.metric("serve_mux_p99_us").unwrap() > 0.0);
+        // 64 connections x 4 in flight x 3 rounds, every answer checked.
+        assert_eq!(out.metric("serve_multiplexed_connections"), Some(64.0));
+        assert_eq!(out.metric("serve_multiplexed_answers"), Some(768.0));
     }
 }

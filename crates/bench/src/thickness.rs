@@ -15,8 +15,7 @@
 //! models — the acceptance criterion for tile format v3.
 //!
 //! Emits the `thickness_retrieval_samples_per_s` and
-//! `catalog_thickness_query_per_s` rates that `perf::bench` also
-//! records in the `BENCH_*.json` trajectory.
+//! `catalog_thickness_query_per_s` rates.
 
 use std::sync::Arc;
 use std::time::Instant;

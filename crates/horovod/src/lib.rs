@@ -9,8 +9,9 @@
 //! server. This crate implements that stack over OS threads as "GPUs":
 //!
 //! - [`ring`] — the bandwidth-optimal chunked ring all-reduce
-//!   (scatter-reduce + all-gather over crossbeam channels) plus the naive
-//!   rank-0 gather/scatter reduction used as an ablation baseline;
+//!   (scatter-reduce + all-gather over `std::sync::mpsc` channels) plus
+//!   the naive rank-0 gather/scatter reduction used as an ablation
+//!   baseline;
 //! - [`trainer`] — the synchronous data-parallel training loop (shard,
 //!   grad, all-reduce, identical local update), with wall-clock
 //!   throughput statistics for the paper's Table IV / Figure 5;

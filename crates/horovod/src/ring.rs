@@ -16,7 +16,7 @@
 //! the ablation bench: rank 0 moves `2(N−1)·L` elements there, N× the
 //! ring's per-link traffic.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Chunk boundaries: `n_chunks` near-equal ranges covering `len`.
 fn chunk_bounds(len: usize, n_chunks: usize) -> Vec<(usize, usize)> {
@@ -46,10 +46,10 @@ impl RingNode {
         assert!(n > 0, "need at least one worker");
         let mut channels = Vec::with_capacity(n);
         for _ in 0..n {
-            channels.push(unbounded::<Vec<f32>>());
+            channels.push(channel::<Vec<f32>>());
         }
         let mut txs: Vec<Option<Sender<Vec<f32>>>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Option<Receiver<Vec<f32>>>> = vec![None; n];
+        let mut rxs: Vec<Option<Receiver<Vec<f32>>>> = (0..n).map(|_| None).collect();
         for (i, (tx, rx)) in channels.into_iter().enumerate() {
             txs.push(Some(tx));
             rxs[(i + 1) % n] = Some(rx);

@@ -1,5 +1,4 @@
-//! Profiling driver: times the phases of one training step (kept for
-//! future perf PRs — compare against BENCH_*.json).
+//! Profiling driver: times the phases of one training step.
 
 use neurite::{Activation, Adam, Dense, Dropout, FocalLoss, Loss, Lstm, Matrix, Sequential};
 use rand::SeedableRng;

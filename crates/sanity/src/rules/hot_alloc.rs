@@ -2,8 +2,8 @@
 //! names end in `_into`, `_ws`, or `_inplace` (in `crates/nn`,
 //! `crates/core` and `crates/catalog`) exist precisely so the
 //! steady-state path never allocates; a `vec![...]` or `.collect()`
-//! slipped into one of them silently un-does the 3–29× wins pinned in
-//! BENCH_2.json (or, in the catalog, the per-sample boundary scan of a
+//! slipped into one of them silently un-does the 3–29× wins recorded
+//! in DESIGN.md (or, in the catalog, the per-sample boundary scan of a
 //! summary query) while every oracle test keeps passing.
 
 use crate::report::Finding;

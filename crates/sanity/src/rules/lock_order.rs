@@ -3,8 +3,8 @@
 //! the async server.
 //!
 //! Scope: `crates/catalog/src/{cache,store,server,lease,fault}.rs` and
-//! the `parking_lot`/`crossbeam` shims. Within each function the rule
-//! simulates guard lifetimes:
+//! the `parking_lot` shim. Within each function the rule simulates
+//! guard lifetimes:
 //!
 //! - an acquisition is a `.lock()` / `.read()` / `.write()` call with
 //!   *empty* parens (this cleanly separates `RwLock::read()` from
@@ -30,14 +30,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 pub const RULE: &str = "lock_order";
 
-const TARGETS: [&str; 7] = [
+const TARGETS: [&str; 6] = [
     "crates/catalog/src/cache.rs",
     "crates/catalog/src/store.rs",
     "crates/catalog/src/server.rs",
     "crates/catalog/src/lease.rs",
     "crates/catalog/src/fault.rs",
     "crates/shims/parking_lot/src/lib.rs",
-    "crates/shims/crossbeam/src/lib.rs",
 ];
 
 const ACQUIRE_METHODS: [&str; 3] = ["lock", "read", "write"];

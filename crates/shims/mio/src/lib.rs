@@ -2,7 +2,7 @@
 //! small, dependency-free subset of the real API.
 //!
 //! The crates.io registry is unreachable in this build environment, so
-//! — like the `rayon`/`serde`/`crossbeam` shims — this crate is a real
+//! — like the `rayon`/`serde` shims — this crate is a real
 //! implementation, not a mock. On Linux it drives `epoll` directly
 //! through hand-declared `extern "C"` bindings (the std runtime already
 //! links libc, so no new dependency is introduced); on other unixes it

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Run with `--release`; the training experiments are compute-bound.
-//! `--quick` switches to the reduced workloads the criterion benches use.
+//! `--quick` switches to the reduced workloads the tests use.
 
 use seaice_bench::common::Scale;
 use seaice_bench::{

@@ -25,11 +25,11 @@ impl ExperimentOutput {
     }
 }
 
-/// Workload scale for experiment runners: benches use `Quick`, the
-/// `reproduce` binary uses `Full`.
+/// Workload scale for experiment runners: tests and `reproduce --quick`
+/// use `Quick`, plain `reproduce` uses `Full`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Small workloads for criterion iterations.
+    /// Small workloads for tests and smoke runs.
     Quick,
     /// Paper-scale workloads for the reproduce binary.
     Full,

@@ -4,8 +4,8 @@
 //! Each `table*` / `fig*` function is self-contained: it builds its
 //! workload from seeds, runs the relevant pipeline pieces, and returns a
 //! printable report plus structured numbers. The [`reproduce`](../reproduce)
-//! binary dispatches on experiment id; the criterion benches reuse the
-//! same runners with smaller workloads.
+//! binary dispatches on experiment id; its `--quick` flag runs the same
+//! runners with smaller workloads.
 //!
 //! Run `cargo run -p seaice-bench --release --bin reproduce -- all` to
 //! regenerate everything (release strongly recommended — the training

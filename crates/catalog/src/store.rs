@@ -1178,24 +1178,13 @@ impl Catalog {
         source: u64,
         mode: IngestMode,
     ) -> Result<MergeOutcome, CatalogError> {
-        let shard = (key.stable_hash() % self.shard_locks.len() as u64) as usize;
-        let _own = self.shard_locks[shard]
+        let _own = self
+            .shard_lock(&key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let expected = self.indexed_version(&key);
-        let mut tile = match expected {
-            None => Tile::new(key.tile, key.time),
-            Some(version) => match self.cache.get(&key) {
-                Some(hit) if hit.version == version => (*hit).clone(),
-                _ => {
-                    let tile = Tile::load(&self.tile_path(&key))?;
-                    if tile.id != key.tile || tile.time != key.time || tile.version != version {
-                        return Err(CatalogError::Corrupt("tile file behind its index entry"));
-                    }
-                    tile
-                }
-            },
-        };
+        let mut tile = self
+            .writable_tile(&key)?
+            .unwrap_or_else(|| Tile::new(key.tile, key.time));
         let mut outcome = MergeOutcome::default();
         match mode {
             IngestMode::Skip if tile.has_source(source) => {
@@ -1218,22 +1207,12 @@ impl Catalog {
     /// Removes `source` from one tile (the `Replace` sweep), a no-op
     /// when the tile never held it.
     fn apply_remove(&self, key: TileKey, source: u64) -> Result<usize, CatalogError> {
-        let shard = (key.stable_hash() % self.shard_locks.len() as u64) as usize;
-        let _own = self.shard_locks[shard]
+        let _own = self
+            .shard_lock(&key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let Some(version) = self.indexed_version(&key) else {
+        let Some(mut tile) = self.writable_tile(&key)? else {
             return Ok(0);
-        };
-        let mut tile = match self.cache.get(&key) {
-            Some(hit) if hit.version == version => (*hit).clone(),
-            _ => {
-                let tile = Tile::load(&self.tile_path(&key))?;
-                if tile.id != key.tile || tile.time != key.time || tile.version != version {
-                    return Err(CatalogError::Corrupt("tile file behind its index entry"));
-                }
-                tile
-            }
         };
         if !tile.has_source(source) {
             return Ok(0);
@@ -1242,6 +1221,32 @@ impl Catalog {
         let removed = tile.replace_source(source, &[]);
         self.publish(key, tile)?;
         Ok(removed)
+    }
+
+    /// The lock that serialises every write cycle of `key`'s shard.
+    fn shard_lock(&self, key: &TileKey) -> &Mutex<()> {
+        &self.shard_locks[(key.stable_hash() % self.shard_locks.len() as u64) as usize]
+    }
+
+    /// A private copy of the tile at its indexed version, `None` when the
+    /// index has no entry. The cached snapshot is reused only when its
+    /// version matches the index; otherwise the file is reloaded and must
+    /// carry the key's identity and that version. Callers hold the key's
+    /// shard lock.
+    fn writable_tile(&self, key: &TileKey) -> Result<Option<Tile>, CatalogError> {
+        let Some(version) = self.indexed_version(key) else {
+            return Ok(None);
+        };
+        if let Some(hit) = self.cache.get(key) {
+            if hit.version == version {
+                return Ok(Some((*hit).clone()));
+            }
+        }
+        let tile = Tile::load(&self.tile_path(key))?;
+        if tile.id != key.tile || tile.time != key.time || tile.version != version {
+            return Err(CatalogError::Corrupt("tile file behind its index entry"));
+        }
+        Ok(Some(tile))
     }
 
     /// Persists a modified tile and publishes it: file rename, then
@@ -1271,8 +1276,8 @@ impl Catalog {
         if let Some(lease) = &self.lease {
             lease.heartbeat_if_due()?;
         }
-        let shard = (key.stable_hash() % self.shard_locks.len() as u64) as usize;
-        let _own = self.shard_locks[shard]
+        let _own = self
+            .shard_lock(&key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         if self.indexed_version(&key).is_some() {
@@ -1504,6 +1509,7 @@ impl Catalog {
     }
 
     /// Per-layer whole-domain summaries over the range, chronological.
+    /// Layers with no samples (only retention-frozen bases) are omitted.
     pub fn query_time_range(
         &self,
         time: TimeRange,
@@ -1616,8 +1622,10 @@ impl Catalog {
         }))
     }
 
-    /// Per-tile partials of `keys`, each layer reduced on its own; every
-    /// layer with keys is listed.
+    /// Per-tile partials of `keys`, each layer reduced on its own. A
+    /// layer with no partials (its tiles hold only retention-frozen
+    /// bases) is omitted, as it is from every served and routed answer,
+    /// which stream no records for it.
     fn layer_partials(
         &self,
         keys: Vec<TileKey>,
@@ -1626,10 +1634,14 @@ impl Catalog {
         for key in keys {
             layers.entry(key.time).or_default().push(key);
         }
-        layers
-            .into_iter()
-            .map(|(time, keys)| Ok((time, self.partials(keys, Region::All)?)))
-            .collect()
+        let mut out = BTreeMap::new();
+        for (time, keys) in layers {
+            let partials = self.partials(keys, Region::All)?;
+            if !partials.is_empty() {
+                out.insert(time, partials);
+            }
+        }
+        Ok(out)
     }
 
     /// The composite behind [`Catalog::query_cells`] over `keys`.

@@ -836,8 +836,8 @@ pub enum Records {
     /// Per-tile summary partials (rect and bbox queries).
     Tiles(Vec<TilePartial>),
     /// Per-tile partials by layer (time-range queries). On the wire a
-    /// layer travels as its `(layer, partial)` records, so a layer
-    /// without partials is listed only by an in-process answer.
+    /// layer travels as its `(layer, partial)` records, so no answer
+    /// lists a layer without partials.
     Layers(BTreeMap<TimeKey, Vec<TilePartial>>),
     /// Gridded composite cells, sorted by `(tile, cell)`.
     Cells(Vec<CellSummary>),

@@ -16,14 +16,15 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use icesat_geo::{MapPoint, EPSG_3976};
 use icesat_scene::SurfaceClass;
 use seaice::artifact::ArtifactError;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_catalog::{
-    compact, Catalog, CatalogError, CompactionConfig, GridConfig, IngestMode, LayerMap, MapRect,
-    TimeKey, TimeRange,
+    compact, Catalog, CatalogClient, CatalogError, CatalogServer, CompactionConfig, GridConfig,
+    IngestMode, LayerMap, MapRect, TimeKey, TimeRange,
 };
 
 fn grid() -> GridConfig {
@@ -393,7 +394,7 @@ fn retention_drops_samples_but_preserves_composites() {
         "only the November layer keeps segment detail"
     );
 
-    let dst = Catalog::open(&dst_dir).unwrap();
+    let dst = Arc::new(Catalog::open(&dst_dir).unwrap());
     // Segment-level queries see only the retained layer…
     assert_eq!(
         dst.query_rect(&dst.grid().domain(), sept)
@@ -409,6 +410,21 @@ fn retention_drops_samples_but_preserves_composites() {
     assert_eq!(cell_bits(&dst, TimeRange::all()), cells_src);
     assert_eq!(cell_bits(&dst, sept), cell_bits(&src, sept));
     dst.validate().unwrap();
+
+    // September's tiles hold only frozen bases, so the time-range answer
+    // omits that layer, and the in-process answer is the served one.
+    let layers = dst.query_time_range(TimeRange::all()).unwrap();
+    assert!(
+        layers
+            .iter()
+            .all(|(time, _)| *time != TimeKey::new(2019, 9).unwrap()),
+        "{layers:?}"
+    );
+    let server = CatalogServer::serve(Arc::clone(&dst), "127.0.0.1:0").unwrap();
+    let mut client = CatalogClient::connect(&server.addr().to_string()).unwrap();
+    assert_eq!(client.query_time_range(TimeRange::all()).unwrap(), layers);
+    drop(client);
+    server.shutdown();
 
     // Re-ingesting a retired source still skips (its ledger survived)…
     let product = line_product(400, -304_000.0, -1_304_000.0, 19.0, 10.0, 0.2);

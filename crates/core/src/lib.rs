@@ -67,4 +67,4 @@ pub use stages::{
     CuratedTrack, LabeledDataset, PipelineBuilder, SeaIceProducts, StagedRun, TrainedModels,
 };
 pub use stats::{percentile_nearest_rank, summary_stats};
-pub use thickness::{thickness_from_freeboard, Densities, SnowModel, ThicknessProduct};
+pub use thickness::{thickness_from_freeboard, Densities, SnowModel};

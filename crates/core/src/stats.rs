@@ -34,7 +34,7 @@ pub fn percentile_nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// An empty slice summarises to `(0.0, 0.0, 0.0)`. The input need not be
 /// sorted; a copy is sorted internally, so the fold is independent of
 /// input order. [`crate::freeboard::FreeboardProduct::stats`] and
-/// [`crate::thickness::ThicknessProduct::stats`] both delegate here —
+/// `seaice_products::ProductSet::thickness_stats` both delegate here —
 /// if you change this contract, change it for every product at once.
 pub fn summary_stats(values: &[f64]) -> (f64, f64, f64) {
     if values.is_empty() {

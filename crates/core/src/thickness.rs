@@ -17,10 +17,7 @@
 //! the common Antarctic parameterisations (fixed fraction of freeboard,
 //! or zero-ice-freeboard) as explicit strategies.
 
-use icesat_scene::SurfaceClass;
 use serde::{Deserialize, Serialize};
-
-use crate::freeboard::FreeboardProduct;
 
 /// Densities, kg/m³.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,62 +75,9 @@ pub fn thickness_from_freeboard(freeboard_m: f64, snow: SnowModel, rho: Densitie
     t.max(0.0)
 }
 
-/// One thickness sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThicknessPoint {
-    /// Along-track position, metres.
-    pub along_track_m: f64,
-    /// Ice thickness, metres.
-    pub thickness_m: f64,
-    /// Surface class of the underlying segment.
-    pub class: SurfaceClass,
-}
-
-/// A thickness product derived from a freeboard product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThicknessProduct {
-    /// Name for plots.
-    pub name: String,
-    /// Snow model used.
-    pub snow: SnowModel,
-    /// Samples in along-track order (ice segments only; water is 0 m by
-    /// definition and excluded).
-    pub points: Vec<ThicknessPoint>,
-}
-
-impl ThicknessProduct {
-    /// Derives thickness for every ice sample of a freeboard product.
-    pub fn from_freeboard(product: &FreeboardProduct, snow: SnowModel, rho: Densities) -> Self {
-        let points = product
-            .points
-            .iter()
-            .filter(|p| p.class != SurfaceClass::OpenWater)
-            .map(|p| ThicknessPoint {
-                along_track_m: p.along_track_m,
-                thickness_m: thickness_from_freeboard(p.freeboard_m, snow, rho),
-                class: p.class,
-            })
-            .collect();
-        ThicknessProduct {
-            name: format!("{} thickness", product.name),
-            snow,
-            points,
-        }
-    }
-
-    /// Mean / median / p95 thickness, metres, per the shared contract of
-    /// [`crate::stats::summary_stats`] (same fold as
-    /// [`crate::freeboard::FreeboardProduct::stats`]).
-    pub fn stats(&self) -> (f64, f64, f64) {
-        let v: Vec<f64> = self.points.iter().map(|p| p.thickness_m).collect();
-        crate::stats::summary_stats(&v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::freeboard::FreeboardPoint;
 
     #[test]
     fn bare_ice_thickness_is_hydrostatic() {
@@ -167,80 +111,6 @@ mod tests {
         let t =
             thickness_from_freeboard(0.3, SnowModel::FreeboardFraction(0.7), Densities::default());
         assert!((0.8..2.5).contains(&t), "t = {t}");
-    }
-
-    #[test]
-    fn product_derivation_excludes_water() {
-        let fb = FreeboardProduct {
-            name: "x".into(),
-            points: vec![
-                FreeboardPoint {
-                    along_track_m: 0.0,
-                    lat: -74.0,
-                    lon: -170.0,
-                    freeboard_m: 0.3,
-                    class: SurfaceClass::ThickIce,
-                },
-                FreeboardPoint {
-                    along_track_m: 2.0,
-                    lat: -74.0,
-                    lon: -170.0,
-                    freeboard_m: 0.01,
-                    class: SurfaceClass::OpenWater,
-                },
-                FreeboardPoint {
-                    along_track_m: 4.0,
-                    lat: -74.0,
-                    lon: -170.0,
-                    freeboard_m: 0.05,
-                    class: SurfaceClass::ThinIce,
-                },
-            ],
-        };
-        let t = ThicknessProduct::from_freeboard(&fb, SnowModel::None, Densities::default());
-        assert_eq!(t.points.len(), 2);
-        assert!(t.points[0].thickness_m > t.points[1].thickness_m);
-        let (mean, median, p95) = t.stats();
-        assert!(mean > 0.0 && median > 0.0 && p95 >= median);
-    }
-
-    /// Cross-check of the deduplicated stats contract: feeding identical
-    /// values through `ThicknessProduct::stats`,
-    /// `FreeboardProduct::stats`, and the shared helper must agree
-    /// bit-for-bit.
-    #[test]
-    fn stats_share_the_freeboard_fold() {
-        let values = [0.9, 0.3, 1.7, 0.3, 2.4, 1.1, 0.6];
-        let t = ThicknessProduct {
-            name: "x".into(),
-            snow: SnowModel::None,
-            points: values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| ThicknessPoint {
-                    along_track_m: i as f64 * 2.0,
-                    thickness_m: v,
-                    class: SurfaceClass::ThickIce,
-                })
-                .collect(),
-        };
-        let f = FreeboardProduct {
-            name: "x".into(),
-            points: values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| FreeboardPoint {
-                    along_track_m: i as f64 * 2.0,
-                    lat: -74.0,
-                    lon: -170.0,
-                    freeboard_m: v,
-                    class: SurfaceClass::ThickIce,
-                })
-                .collect(),
-        };
-        let shared = crate::stats::summary_stats(&values);
-        assert_eq!(t.stats(), shared);
-        assert_eq!(f.stats(), shared);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 pub mod activation;
 pub mod data;
-pub mod io;
 pub mod layers;
 pub mod loss;
 pub mod metrics;
@@ -36,7 +35,6 @@ pub mod workspace;
 
 pub use activation::Activation;
 pub use data::{BatchIter, Batcher, Dataset, Standardizer};
-pub use io::{load_weights, save_weights, WeightError};
 pub use layers::{Dense, Dropout, Layer, Lstm};
 pub use loss::{CrossEntropy, FocalLoss, Loss};
 pub use metrics::{confusion_matrix, ClassificationReport, ConfusionMatrix};

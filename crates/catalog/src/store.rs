@@ -5,7 +5,7 @@
 //!
 //! - Every tile key hashes (stably) to one **shard**; a shard's mutex
 //!   serialises the read-modify-write ingest cycle for the keys it owns.
-//!   Ingest into different shards proceeds in parallel.
+//!   Concurrent ingest calls into different shards proceed in parallel.
 //! - Readers never take shard locks. They see tiles as immutable
 //!   `Arc<Tile>` snapshots through the lock-striped LRU cache
 //!   ([`crate::cache::TileCache`]), falling back to the on-disk artifact
@@ -781,7 +781,7 @@ impl Catalog {
     /// default [`IngestMode::Skip`] — re-ingesting a `(granule, beam)`
     /// the catalog already holds is an idempotent, byte-stable no-op.
     /// Projection of every point through EPSG-3976 runs rayon-parallel;
-    /// per-tile merges run parallel across shards.
+    /// the per-tile merges run one after another on the calling thread.
     pub fn ingest_beam(
         &self,
         granule_id: &str,
@@ -950,16 +950,19 @@ impl Catalog {
             }
         }
 
-        // Apply merges, parallel across tiles (shard locks serialise
-        // same-shard keys).
+        // Apply merges one tile after another on this thread. Each ends
+        // in a file write and a rename in the one tiles directory, and
+        // two threads doing that contend in the kernel: on a 2-vCPU host
+        // a parallel fan-out doubled the system time per ingest and made
+        // it swing from run to run. (Shard locks still serialise
+        // same-shard keys across concurrent ingest calls.)
         let groups: Vec<(TileId, Vec<SampleRecord>)> = groups.into_iter().collect();
-        // The merge stage's wall clock covers the whole fan-out; the
-        // per-tile persist histogram below it carves out the disk share.
+        // The merge stage's wall clock covers every merge; the per-tile
+        // persist histogram below it carves out the disk share.
         let stage_t0 = Instant::now();
-        let results: Vec<Result<MergeOutcome, CatalogError>> = (0..groups.len())
-            .into_par_iter()
-            .map(|i| {
-                let (tile, batch) = &groups[i];
+        let results: Vec<Result<MergeOutcome, CatalogError>> = groups
+            .iter()
+            .map(|(tile, batch)| {
                 self.apply_merge(TileKey { time, tile: *tile }, batch, source, mode)
             })
             .collect();
@@ -978,8 +981,9 @@ impl Catalog {
         // Replace must also clear the source out of tiles the *new*
         // product no longer reaches (a perturbed track shifts samples
         // across tile boundaries), or stale samples would linger there.
-        // The sweep runs parallel like the merges; most tiles answer
-        // `has_source = false` from their ledger and are left alone.
+        // The sweep runs parallel: most tiles answer `has_source =
+        // false` from their ledger and are left alone, so it is mostly
+        // decodes, not writes.
         if mode == IngestMode::Replace {
             let touched: BTreeSet<TileId> = groups.iter().map(|(t, _)| *t).collect();
             let sweep: Vec<TileKey> = self

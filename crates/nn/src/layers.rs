@@ -15,13 +15,16 @@
 //! (activations kept for backward, the LSTM's packed per-sequence
 //! buffers, gradient accumulators) are owned by the layer and resized in
 //! place. After one warmup step nothing in the steady-state training loop
-//! allocates. The workspace-free [`Layer::forward`] / [`Layer::backward`]
-//! remain as conveniences for cold paths and tests.
+//! allocates. [`Layer::infer_ws`] is the inference forward: the same
+//! kernels in the same order, so the same bits, with every intermediate
+//! borrowed from the workspace and no cache written. The workspace-free
+//! [`Layer::forward`] / [`Layer::backward`] remain as conveniences for
+//! cold paths and tests.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::activation::Activation;
+use crate::activation::{with_activation, Activation};
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
 
@@ -35,6 +38,12 @@ pub trait Layer: Send + Sync {
     /// Backward pass: given ∂L/∂output, accumulate parameter gradients and
     /// return ∂L/∂input (borrowed from `ws`).
     fn backward_ws(&mut self, grad_output: &Matrix, ws: &mut Workspace) -> Matrix;
+    /// Inference forward: the same kernels in the same order as
+    /// `forward_ws(input, false, ws)`, so the same bits, but no backward
+    /// caches are written. The returned matrix is borrowed from `ws`.
+    fn infer_ws(&mut self, input: &Matrix, ws: &mut Workspace) -> Matrix {
+        self.forward_ws(input, false, ws)
+    }
     /// Workspace-free forward (cold paths and tests).
     fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
         let mut ws = Workspace::new();
@@ -127,6 +136,14 @@ impl Layer for Dense {
         // W is constant between a forward and its backward.
         self.w.transpose_into(&mut self.wt);
         self.has_cache = true;
+        out
+    }
+
+    fn infer_ws(&mut self, input: &Matrix, ws: &mut Workspace) -> Matrix {
+        let mut pre = ws.take(input.rows(), self.w.cols());
+        let mut out = ws.take(input.rows(), self.w.cols());
+        input.affine_into(&self.w, &self.b, self.act, &mut pre, &mut out);
+        ws.give(pre);
         out
     }
 
@@ -374,6 +391,50 @@ impl Lstm {
     }
 }
 
+/// `z = h·Wh + zx_t`: the recurrent projection plus step `t`'s rows of
+/// the stacked input projection (zx rows are r-major: sample r at row
+/// r·seq + t).
+fn recurrent_preact(wh: &Matrix, h: &Matrix, zx: &Matrix, t: usize, seq: usize, z: &mut Matrix) {
+    h.matmul_into(wh, z);
+    let h4 = wh.cols();
+    let zxd = zx.data();
+    for (r, zrow) in z.data_mut().chunks_mut(h4).enumerate() {
+        let zx = &zxd[(r * seq + t) * h4..(r * seq + t + 1) * h4];
+        for (zv, &xv) in zrow.iter_mut().zip(zx) {
+            *zv += xv;
+        }
+    }
+}
+
+/// Gate nonlinearities into `gates` (already `z`'s shape): sigmoid for
+/// i/f/o, the cell activation for g. Per-row segment slices keep the
+/// loops branch-free and bounds-check-free.
+fn gate_activations(act: Activation, hid: usize, z: &Matrix, gates: &mut Matrix) {
+    let h4 = 4 * hid;
+    with_activation!(act, cell => {
+        for (zrow, grow) in z.data().chunks(h4).zip(gates.data_mut().chunks_mut(h4)) {
+            let (zi, zrest) = zrow.split_at(hid);
+            let (zf, zrest) = zrest.split_at(hid);
+            let (zg, zo) = zrest.split_at(hid);
+            let (gi, grest) = grow.split_at_mut(hid);
+            let (gf, grest) = grest.split_at_mut(hid);
+            let (gg, go) = grest.split_at_mut(hid);
+            for (g, &z) in gi.iter_mut().zip(zi) {
+                *g = Activation::Sigmoid.apply(z);
+            }
+            for (g, &z) in gf.iter_mut().zip(zf) {
+                *g = Activation::Sigmoid.apply(z);
+            }
+            for (g, &z) in gg.iter_mut().zip(zg) {
+                *g = cell(z);
+            }
+            for (g, &z) in go.iter_mut().zip(zo) {
+                *g = Activation::Sigmoid.apply(z);
+            }
+        }
+    });
+}
+
 impl Layer for Lstm {
     fn forward_ws(&mut self, input: &Matrix, _training: bool, ws: &mut Workspace) -> Matrix {
         assert_eq!(
@@ -407,45 +468,9 @@ impl Layer for Lstm {
             let cc = &mut self.cache[t];
             cc.h_prev.copy_from(&self.h_buf);
             cc.c_prev.copy_from(&self.c_buf);
-            // z_t = h·Wh + zx_t (zx rows are r-major: sample r at row
-            // r·seq + t).
-            self.h_buf.matmul_into(&self.wh, &mut cc.z);
-            {
-                let zxd = self.zx_stacked.data();
-                for (r, zrow) in cc.z.data_mut().chunks_mut(h4).enumerate() {
-                    let zx = &zxd[(r * seq + t) * h4..(r * seq + t + 1) * h4];
-                    for (zv, &xv) in zrow.iter_mut().zip(zx) {
-                        *zv += xv;
-                    }
-                }
-            }
-            // Gate nonlinearities: sigmoid for i/f/o, the cell activation
-            // for g — per-row segment slices keep the loops branch-free
-            // and bounds-check-free.
+            recurrent_preact(&self.wh, &self.h_buf, &self.zx_stacked, t, seq, &mut cc.z);
             cc.gates.resize(batch, h4);
-            {
-                let LstmCache { z, gates, .. } = cc;
-                for (zrow, grow) in z.data().chunks(h4).zip(gates.data_mut().chunks_mut(h4)) {
-                    let (zi, zrest) = zrow.split_at(hid);
-                    let (zf, zrest) = zrest.split_at(hid);
-                    let (zg, zo) = zrest.split_at(hid);
-                    let (gi, grest) = grow.split_at_mut(hid);
-                    let (gf, grest) = grest.split_at_mut(hid);
-                    let (gg, go) = grest.split_at_mut(hid);
-                    for (g, &z) in gi.iter_mut().zip(zi) {
-                        *g = Activation::Sigmoid.apply(z);
-                    }
-                    for (g, &z) in gf.iter_mut().zip(zf) {
-                        *g = Activation::Sigmoid.apply(z);
-                    }
-                    for (g, &z) in gg.iter_mut().zip(zg) {
-                        *g = act.apply(z);
-                    }
-                    for (g, &z) in go.iter_mut().zip(zo) {
-                        *g = Activation::Sigmoid.apply(z);
-                    }
-                }
-            }
+            gate_activations(act, hid, &cc.z, &mut cc.gates);
             // c' = f⊙c + i⊙g;  h' = o⊙act(c'). act(c') is cached so the
             // backward pass can derive act' from it without re-evaluating
             // exp.
@@ -454,36 +479,85 @@ impl Layer for Lstm {
             let LstmCache {
                 gates, c, act_c, ..
             } = cc;
-            for ((((grow, crow), acrow), hrow), cprow) in gates
-                .data()
-                .chunks(h4)
-                .zip(c.data_mut().chunks_mut(hid))
-                .zip(act_c.data_mut().chunks_mut(hid))
-                .zip(self.h_buf.data_mut().chunks_mut(hid))
-                .zip(self.c_buf.data_mut().chunks_mut(hid))
-            {
-                let (gi, grest) = grow.split_at(hid);
-                let (gf, grest) = grest.split_at(hid);
-                let (gg, go) = grest.split_at(hid);
-                for (j, (((cv, acv), hv), cpv)) in crow
-                    .iter_mut()
-                    .zip(acrow.iter_mut())
-                    .zip(hrow.iter_mut())
-                    .zip(cprow.iter_mut())
-                    .enumerate()
+            with_activation!(act, cell => {
+                for ((((grow, crow), acrow), hrow), cprow) in gates
+                    .data()
+                    .chunks(h4)
+                    .zip(c.data_mut().chunks_mut(hid))
+                    .zip(act_c.data_mut().chunks_mut(hid))
+                    .zip(self.h_buf.data_mut().chunks_mut(hid))
+                    .zip(self.c_buf.data_mut().chunks_mut(hid))
                 {
-                    let c_new = gf[j] * *cpv + gi[j] * gg[j];
-                    *cv = c_new;
-                    *cpv = c_new;
-                    let a = act.apply(c_new);
-                    *acv = a;
-                    *hv = go[j] * a;
+                    let (gi, grest) = grow.split_at(hid);
+                    let (gf, grest) = grest.split_at(hid);
+                    let (gg, go) = grest.split_at(hid);
+                    for (j, (((cv, acv), hv), cpv)) in crow
+                        .iter_mut()
+                        .zip(acrow.iter_mut())
+                        .zip(hrow.iter_mut())
+                        .zip(cprow.iter_mut())
+                        .enumerate()
+                    {
+                        let c_new = gf[j] * *cpv + gi[j] * gg[j];
+                        *cv = c_new;
+                        *cpv = c_new;
+                        let a = cell(c_new);
+                        *acv = a;
+                        *hv = go[j] * a;
+                    }
                 }
-            }
+            });
         }
         let mut out = ws.take(batch, hid);
         out.data_mut().copy_from_slice(self.h_buf.data());
         out
+    }
+
+    fn infer_ws(&mut self, input: &Matrix, ws: &mut Workspace) -> Matrix {
+        assert_eq!(
+            input.cols(),
+            self.seq_len * self.input,
+            "LSTM input width must be seq_len×features"
+        );
+        let batch = input.rows();
+        let (hid, in_dim, seq, act) = (self.hidden, self.input, self.seq_len, self.act);
+        let h4 = 4 * hid;
+        // The training forward's kernels in its order, with one set of
+        // workspace buffers reused across timesteps in place of the
+        // per-step caches and the input copy.
+        let mut zx = ws.take(batch * seq, h4);
+        input.matmul_reshape_into(batch * seq, in_dim, &self.wx, &mut zx);
+        zx.add_row_broadcast_assign(&self.b);
+        let mut z = ws.take(batch, h4);
+        let mut gates = ws.take(batch, h4);
+        let mut h = ws.take(batch, hid);
+        let mut c = ws.take(batch, hid);
+        for t in 0..seq {
+            recurrent_preact(&self.wh, &h, &zx, t, seq, &mut z);
+            gate_activations(act, hid, &z, &mut gates);
+            with_activation!(act, cell => {
+                for ((grow, hrow), crow) in gates
+                    .data()
+                    .chunks(h4)
+                    .zip(h.data_mut().chunks_mut(hid))
+                    .zip(c.data_mut().chunks_mut(hid))
+                {
+                    let (gi, grest) = grow.split_at(hid);
+                    let (gf, grest) = grest.split_at(hid);
+                    let (gg, go) = grest.split_at(hid);
+                    for (j, (hv, cv)) in hrow.iter_mut().zip(crow.iter_mut()).enumerate() {
+                        let c_new = gf[j] * *cv + gi[j] * gg[j];
+                        *cv = c_new;
+                        *hv = go[j] * cell(c_new);
+                    }
+                }
+            });
+        }
+        ws.give(zx);
+        ws.give(z);
+        ws.give(gates);
+        ws.give(c);
+        h
     }
 
     fn backward_ws(&mut self, grad_output: &Matrix, ws: &mut Workspace) -> Matrix {

@@ -158,24 +158,35 @@ impl Sequential {
         l
     }
 
-    /// Class predictions (argmax of logits) in inference mode, streamed
+    /// Streams `x` through the inference forward ([`Layer::infer_ws`])
     /// in row chunks: activations for at most `PREDICT_CHUNK` rows are
     /// live at any time and every buffer is recycled through the model's
-    /// workspace, instead of materialising the full logits matrix for the
-    /// whole input.
-    pub fn predict(&mut self, x: &Matrix) -> Vec<usize> {
-        let mut preds = Vec::with_capacity(x.rows());
+    /// workspace. `emit` sees each chunk's logits in row order.
+    fn infer_chunks(&mut self, x: &Matrix, mut emit: impl FnMut(&Matrix)) {
         let cols = x.cols();
         let mut ws = std::mem::take(&mut self.ws);
         let mut r0 = 0;
         while r0 < x.rows() {
             let r1 = (r0 + PREDICT_CHUNK).min(x.rows());
-            let mut chunk = ws.take(r1 - r0, cols);
-            chunk
-                .data_mut()
+            let mut cur = ws.take(r1 - r0, cols);
+            cur.data_mut()
                 .copy_from_slice(&x.data()[r0 * cols..r1 * cols]);
-            let logits = Self::forward_layers(&mut self.layers, &chunk, false, &mut ws);
-            ws.give(chunk);
+            for layer in &mut self.layers {
+                let next = layer.infer_ws(&cur, &mut ws);
+                ws.give(std::mem::replace(&mut cur, next));
+            }
+            emit(&cur);
+            ws.give(cur);
+            r0 = r1;
+        }
+        self.ws = ws;
+    }
+
+    /// Class predictions (argmax of logits) in inference mode, streamed
+    /// in row chunks through the cache-free inference forward.
+    pub fn predict(&mut self, x: &Matrix) -> Vec<usize> {
+        let mut preds = Vec::with_capacity(x.rows());
+        self.infer_chunks(x, |logits| {
             for r in 0..logits.rows() {
                 let row = logits.row(r);
                 let arg = row
@@ -186,17 +197,20 @@ impl Sequential {
                     .unwrap();
                 preds.push(arg);
             }
-            ws.give(logits);
-            r0 = r1;
-        }
-        self.ws = ws;
+        });
         preds
     }
 
-    /// Softmax class probabilities in inference mode.
+    /// Softmax class probabilities in inference mode, streamed like
+    /// [`Sequential::predict`].
     pub fn predict_proba(&mut self, x: &Matrix) -> Matrix {
-        let logits = self.forward(x, false);
-        crate::activation::softmax_rows(&logits)
+        let mut probs = Vec::new();
+        let mut soft = Matrix::zeros(0, 0);
+        self.infer_chunks(x, |logits| {
+            crate::activation::softmax_rows_into(logits, &mut soft);
+            probs.extend_from_slice(soft.data());
+        });
+        Matrix::from_vec(x.rows(), soft.cols(), probs)
     }
 
     /// All parameters flattened into one vector (layer order, then the
@@ -512,6 +526,98 @@ mod tests {
             warm_pool,
             "workspace capacity kept growing"
         );
+    }
+
+    #[test]
+    fn predict_allocations_stabilise_after_warmup() {
+        // The inference twin of the training-loop test: after one
+        // warm-up call, repeated predictions borrow every buffer from the
+        // pool.
+        let (x, _) = toy_data(2500, 27);
+        let mut model = Sequential::new()
+            .add(Dense::new(2, 6, Activation::Elu, &mut rng(28)))
+            .add(Dropout::new(0.2, 7))
+            .add(Dense::new(6, 2, Activation::Linear, &mut rng(29)));
+        let _ = model.predict(&x);
+        let warm_allocs = model.workspace().allocations();
+        let warm_pool = model.workspace().pooled_floats();
+        for _ in 0..20 {
+            let _ = model.predict(&x);
+        }
+        assert_eq!(
+            model.workspace().allocations(),
+            warm_allocs,
+            "steady-state prediction allocated"
+        );
+        assert_eq!(model.workspace().pooled_floats(), warm_pool);
+
+        let seq = 3;
+        let xs = Matrix::from_vec(600, 2 * seq, x.data()[..600 * 2 * seq].to_vec());
+        let mut lstm = Sequential::new()
+            .add(Lstm::new(2, 5, seq, Activation::Tanh, &mut rng(30)))
+            .add(Dense::new(5, 2, Activation::Linear, &mut rng(31)));
+        let _ = lstm.predict(&xs);
+        let warm_allocs = lstm.workspace().allocations();
+        for _ in 0..20 {
+            let _ = lstm.predict(&xs);
+        }
+        assert_eq!(lstm.workspace().allocations(), warm_allocs);
+    }
+
+    /// Logits of the chunked inference forward, concatenated.
+    fn infer_logits(model: &mut Sequential, x: &Matrix) -> Vec<f32> {
+        let mut out = Vec::new();
+        model.infer_chunks(x, |logits| out.extend_from_slice(logits.data()));
+        out
+    }
+
+    #[test]
+    fn inference_forward_is_bit_identical_to_forward_without_training() {
+        use rand::Rng;
+        // The paper LSTM's shapes (6 features × 5 steps, hidden 16) and a
+        // dense stack wide enough that 1024-row chunks cross the
+        // parallel-matmul threshold; row counts straddle the chunk size.
+        let acts = [
+            Activation::Elu,
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Linear,
+        ];
+        let mut r = rng(40);
+        let data: Vec<f32> = (0..3401 * 30).map(|_| r.random_range(-3.0..3.0)).collect();
+        let labels: Vec<usize> = (0..64).map(|i| i % 3).collect();
+        for (k, act) in acts.into_iter().enumerate() {
+            let seed = 41 + k as u64;
+            let mut model = Sequential::new()
+                .add(Lstm::new(6, 16, 5, act, &mut rng(seed)))
+                .add(Dropout::new(0.2, seed))
+                .add(Dense::new(16, 96, act, &mut rng(seed + 100)))
+                .add(Dense::new(96, 32, act, &mut rng(seed + 200)))
+                .add(Dense::new(32, 3, Activation::Linear, &mut rng(seed + 300)));
+            // A few training steps leave backward caches behind that the
+            // inference forward must neither read nor need.
+            let batch = Matrix::from_vec(64, 30, data[..64 * 30].to_vec());
+            let mut opt = Adam::new(0.01);
+            for _ in 0..3 {
+                model.train_step(&batch, &labels, &CrossEntropy, &mut opt);
+            }
+            for rows in [1usize, 1023, 1024, 1025, 3401] {
+                let x = Matrix::from_vec(rows, 30, data[..rows * 30].to_vec());
+                let mut ws = Workspace::new();
+                let mut want = x.clone();
+                for layer in &mut model.layers {
+                    want = layer.forward_ws(&want, false, &mut ws);
+                }
+                let got = infer_logits(&mut model, &x);
+                assert_eq!(got.len(), want.data().len());
+                let mismatch = got
+                    .iter()
+                    .zip(want.data())
+                    .position(|(a, b)| a.to_bits() != b.to_bits());
+                assert_eq!(mismatch, None, "{act:?}, {rows} rows");
+            }
+        }
     }
 
     #[test]

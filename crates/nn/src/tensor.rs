@@ -31,7 +31,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::activation::Activation;
+use crate::activation::{with_activation, Activation};
 
 /// Flop threshold above which matmul kernels dispatch row blocks to
 /// rayon. Batches in this project are small (32), so training matmuls
@@ -109,10 +109,12 @@ fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize
     debug_assert_eq!(out.len(), m * n);
     if m * k * n >= PAR_WORK && m > 1 {
         use rayon::prelude::*;
-        let nt = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1);
-        let rows_per = m.div_ceil(nt).max(1);
+        // One row block per pool block (four per thread), each a multiple
+        // of 4 rows, so every row is summed in the same 4-row group as in
+        // the serial kernel.
+        let rows_per = m
+            .div_ceil(4 * rayon::current_num_threads())
+            .next_multiple_of(4);
         out.par_chunks_mut(rows_per * n)
             .enumerate()
             .for_each(|(blk, out_blk)| gemm_serial(a, b, out_blk, blk * rows_per, k, n));
@@ -406,12 +408,14 @@ impl Matrix {
         self.matmul_into(w, pre);
         out.resize(pre.rows, pre.cols);
         let n = pre.cols;
-        for (pre_row, out_row) in pre.data.chunks_mut(n).zip(out.data.chunks_mut(n)) {
-            for ((p, o), &bv) in pre_row.iter_mut().zip(out_row).zip(&bias.data) {
-                *p += bv;
-                *o = act.apply(*p);
+        with_activation!(act, f => {
+            for (pre_row, out_row) in pre.data.chunks_mut(n).zip(out.data.chunks_mut(n)) {
+                for ((p, o), &bv) in pre_row.iter_mut().zip(out_row).zip(&bias.data) {
+                    *p += bv;
+                    *o = f(*p);
+                }
             }
-        }
+        });
     }
 
     /// Transpose (allocating wrapper over [`Matrix::transpose_into`]).

@@ -1,10 +1,10 @@
 //! Rule `lock_order`: deadlock-cycle detection over the catalog's
 //! lock-acquisition graph, plus a hold-across-blocking-call check in
-//! the async server.
+//! the async server and the `rayon` shim's worker pool.
 //!
-//! Scope: `crates/catalog/src/{cache,store,server,lease,fault}.rs` and
-//! the `parking_lot` shim. Within each function the rule simulates
-//! guard lifetimes:
+//! Scope: `crates/catalog/src/{cache,store,server,lease,fault}.rs`, the
+//! `parking_lot` shim and the `rayon` shim. Within each function the
+//! rule simulates guard lifetimes:
 //!
 //! - an acquisition is a `.lock()` / `.read()` / `.write()` call with
 //!   *empty* parens (this cleanly separates `RwLock::read()` from
@@ -18,10 +18,13 @@
 //!
 //! A cycle in the resulting graph is a lock-order inversion: two
 //! threads taking the same pair in opposite orders can deadlock. The
-//! blocking-call check (server.rs only — the epoll loop and worker
-//! pool) flags guards held across calls that can park the thread on
-//! I/O or a channel; `Condvar::wait*` is exempt because it releases
-//! the guard while parked.
+//! blocking-call check flags guards held across calls that can park the
+//! thread: in server.rs (the epoll loop and worker pool) calls that
+//! wait on I/O or a channel, in the `rayon` shim calls that run pool
+//! jobs — a job may take arbitrarily long and make nested parallel
+//! calls, so a worker must never run one while it holds the queue lock.
+//! `Condvar::wait*` is exempt because it releases the guard while
+//! parked.
 
 use crate::lexer::Tok;
 use crate::report::Finding;
@@ -30,14 +33,18 @@ use std::collections::{BTreeMap, BTreeSet};
 
 pub const RULE: &str = "lock_order";
 
-const TARGETS: [&str; 6] = [
+const TARGETS: [&str; 7] = [
     "crates/catalog/src/cache.rs",
     "crates/catalog/src/store.rs",
     "crates/catalog/src/server.rs",
     "crates/catalog/src/lease.rs",
     "crates/catalog/src/fault.rs",
     "crates/shims/parking_lot/src/lib.rs",
+    "crates/shims/rayon/src/lib.rs",
 ];
+
+const SERVER: &str = "crates/catalog/src/server.rs";
+const POOL: &str = "crates/shims/rayon/src/lib.rs";
 
 const ACQUIRE_METHODS: [&str; 3] = ["lock", "read", "write"];
 
@@ -56,6 +63,20 @@ const BLOCKING_CALLS: [&str; 10] = [
     "read_frame",
     "write_frame",
 ];
+
+/// Calls that run pool jobs (rayon shim check).
+const JOB_CALLS: [&str; 1] = ["run_claimed"];
+
+/// The calls no guard may be held across in `rel`, if it has any.
+fn parking_calls(rel: &str) -> &'static [&'static str] {
+    if rel.ends_with(SERVER) {
+        &BLOCKING_CALLS
+    } else if rel.ends_with(POOL) {
+        &JOB_CALLS
+    } else {
+        &[]
+    }
+}
 
 /// One live guard during simulation.
 struct Guard {
@@ -143,7 +164,7 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut edges: BTreeMap<Edge, (String, u32, String)> = BTreeMap::new();
     let mut out = Vec::new();
     for &(_, f) in &scoped {
-        let is_server = f.rel.ends_with("server.rs");
+        let parking = parking_calls(&f.rel);
         for func in &f.functions {
             if func.is_test {
                 continue;
@@ -208,15 +229,15 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
                         }
                     }
                     Tok::Ident(name) if super::is_call(toks, i) && !guards.is_empty() => {
-                        // Blocking call while locked (server only).
-                        if is_server && BLOCKING_CALLS.contains(&name.as_str()) {
+                        // Blocking call while locked.
+                        if parking.contains(&name.as_str()) {
                             let held: Vec<&str> = guards.iter().map(|g| g.node.as_str()).collect();
                             out.push(Finding::new(
                                 f.rel.clone(),
                                 line,
                                 RULE,
                                 format!(
-                                    "blocking call `{name}(..)` in `{}` while holding {}: parks an epoll/worker thread under lock",
+                                    "blocking call `{name}(..)` in `{}` while holding {}: parks a serving or pool thread under lock",
                                     func.name,
                                     held.join(", ")
                                 ),
@@ -441,6 +462,28 @@ mod tests {
         );
         let fs = check(&[f]);
         assert!(fs.is_empty(), "{fs:?}");
+    }
+
+    #[test]
+    fn pool_job_under_queue_lock() {
+        let held = scan_as(
+            "crates/shims/rayon/src/lib.rs",
+            "fn work(pool: &Pool) { let q = pool.queue.lock(); let c = q.pop(); c.run_claimed(); }",
+        );
+        let fs = check(&[held]);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].message.contains("run_claimed"));
+        let popped = scan_as(
+            "crates/shims/rayon/src/lib.rs",
+            "fn work(pool: &Pool) { let c = { let q = pool.queue.lock(); q.pop() }; c.run_claimed(); }",
+        );
+        assert!(check(&[popped]).is_empty());
+        // Outside the pool the name means nothing.
+        let elsewhere = scan_as(
+            "crates/catalog/src/store.rs",
+            "fn work(&self) { let q = self.queue.lock(); q.run_claimed(); }",
+        );
+        assert!(check(&[elsewhere]).is_empty());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Rule `unsafe_audit`: every `unsafe` block must carry an adjacent
 //! `// SAFETY:` comment stating why the invariants hold.
 //!
-//! Applies workspace-wide (the only unsafe in the tree should be the
-//! FFI in the mio shim). "Adjacent" means a comment containing
+//! Applies workspace-wide. The only unsafe in the tree should be the
+//! FFI in the mio shim and the `rayon` shim pool's lifetime erasure of
+//! a caller's closure. "Adjacent" means a comment containing
 //! `SAFETY:` on the same line as the `unsafe` keyword or within the
 //! three lines above it — enough room for a multi-line justification
 //! without allowing a stale comment at the top of the function to

@@ -160,6 +160,13 @@ impl TileCache {
         }
     }
 
+    /// Drops a key's snapshot, if cached (a failed write may have left
+    /// its file ahead of the snapshot).
+    pub fn remove(&self, key: &TileKey) {
+        let mut stripe = self.stripe(key).lock().unwrap_or_else(|e| e.into_inner());
+        stripe.map.remove(key);
+    }
+
     /// Lifetime counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {

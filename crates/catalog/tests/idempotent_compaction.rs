@@ -23,8 +23,8 @@ use icesat_scene::SurfaceClass;
 use seaice::artifact::ArtifactError;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_catalog::{
-    compact, Catalog, CatalogClient, CatalogError, CatalogServer, CompactionConfig, GridConfig,
-    IngestMode, LayerMap, MapRect, TimeKey, TimeRange,
+    compact, Catalog, CatalogClient, CatalogError, CatalogOptions, CatalogServer, CompactionConfig,
+    FaultAction, FaultPlan, GridConfig, IngestMode, LayerMap, MapRect, TimeKey, TimeRange,
 };
 
 fn grid() -> GridConfig {
@@ -210,32 +210,13 @@ fn skip_reingest_is_a_byte_stable_noop() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn replace_reingest_converges_to_fresh_build() {
-    let dir = temp_dir("replace");
-    let catalog = Catalog::create(&dir, grid()).unwrap();
-    build(&catalog);
-
-    // Perturb one source: shifted track (crosses different tiles) and
-    // different freeboards.
-    let perturbed = line_product(350, -299_000.0, -1_299_000.0, 23.0, 21.0, 0.31);
-    let report = catalog
-        .ingest_beam_with(
-            "20190915010203_05000210",
-            0,
-            &perturbed,
-            IngestMode::Replace,
-        )
-        .unwrap();
-    assert_eq!(report.n_replaced, 400, "every prior sample was removed");
-    assert_eq!(report.n_samples + report.n_out_of_domain, 350);
-
-    // A fresh catalog built from the perturbed workload answers the
-    // whole battery bit-identically.
-    let fresh_dir = temp_dir("replace_fresh");
-    let fresh = Catalog::create(&fresh_dir, grid()).unwrap();
+/// A fresh catalog built from `perturbed` as beam 0 of the September
+/// granule, plus the other two sources of [`build`] unchanged.
+fn fresh_build(tag: &str, perturbed: &FreeboardProduct) -> (Catalog, PathBuf) {
+    let dir = temp_dir(tag);
+    let fresh = Catalog::create(&dir, grid()).unwrap();
     fresh
-        .ingest_beam("20190915010203_05000210", 0, &perturbed)
+        .ingest_beam("20190915010203_05000210", 0, perturbed)
         .unwrap();
     for (granule, beam, x0, dy) in [
         ("20190915010203_05000210", 1usize, -303_000.0, 14.0),
@@ -244,27 +225,151 @@ fn replace_reingest_converges_to_fresh_build() {
         let product = line_product(400, x0, -1_304_000.0, 19.0, dy, 0.2);
         fresh.ingest_beam(granule, beam, &product).unwrap();
     }
-    assert_eq!(battery(&catalog), battery(&fresh));
-    assert_eq!(
-        catalog.stats().unwrap().n_samples,
-        fresh.stats().unwrap().n_samples
-    );
-    catalog.validate().unwrap();
+    (fresh, dir)
+}
 
-    // Replacing with the identical product is also stable (idempotent
-    // under convergence, not bytes — versions move).
-    let again = catalog
-        .ingest_beam_with(
-            "20190915010203_05000210",
-            0,
-            &perturbed,
-            IngestMode::Replace,
-        )
-        .unwrap();
-    assert_eq!(again.n_replaced, again.n_samples);
-    assert_eq!(battery(&catalog), battery(&fresh));
-    let _ = std::fs::remove_dir_all(&dir);
+/// Shifted `Replace`s converge to a fresh build whether the tiles'
+/// ledgers are known to the index (learned in this process) or not yet
+/// (a catalog just reopened).
+#[test]
+fn replace_reingest_converges_to_fresh_build() {
+    // Perturb one source: shifted track (crosses different tiles) and
+    // different freeboards; then shift it a second time.
+    let perturbed = line_product(350, -299_000.0, -1_299_000.0, 23.0, 21.0, 0.31);
+    let shifted_again = line_product(380, -307_000.0, -1_296_000.0, 29.0, -17.0, 0.27);
+    let (fresh, fresh_dir) = fresh_build("replace_fresh", &perturbed);
+    let (fresh_again, fresh_again_dir) = fresh_build("replace_fresh_again", &shifted_again);
+    for reopen in [false, true] {
+        let dir = temp_dir(&format!("replace_reopen_{reopen}"));
+        let mut catalog = Catalog::create(&dir, grid()).unwrap();
+        build(&catalog);
+        if reopen {
+            // Cold: every tile's ledger is unknown to the new index.
+            drop(catalog);
+            catalog = Catalog::open(&dir).unwrap();
+        }
+        let report = catalog
+            .ingest_beam_with(
+                "20190915010203_05000210",
+                0,
+                &perturbed,
+                IngestMode::Replace,
+            )
+            .unwrap();
+        assert_eq!(report.n_replaced, 400, "every prior sample was removed");
+        assert_eq!(report.n_samples + report.n_out_of_domain, 350);
+
+        // A fresh catalog built from the perturbed workload answers the
+        // whole battery bit-identically.
+        assert_eq!(battery(&catalog), battery(&fresh));
+        assert_eq!(
+            catalog.stats().unwrap().n_samples,
+            fresh.stats().unwrap().n_samples
+        );
+        catalog.validate().unwrap();
+
+        // Replacing with the identical product is also stable (idempotent
+        // under convergence, not bytes — versions move).
+        let again = catalog
+            .ingest_beam_with(
+                "20190915010203_05000210",
+                0,
+                &perturbed,
+                IngestMode::Replace,
+            )
+            .unwrap();
+        assert_eq!(again.n_replaced, again.n_samples);
+        assert_eq!(battery(&catalog), battery(&fresh));
+
+        // Warm: shift the same source again in this process, with every
+        // ledger now known to the index.
+        let report = catalog
+            .ingest_beam_with(
+                "20190915010203_05000210",
+                0,
+                &shifted_again,
+                IngestMode::Replace,
+            )
+            .unwrap();
+        assert_eq!(report.n_replaced, again.n_samples);
+        assert_eq!(battery(&catalog), battery(&fresh_again));
+        catalog.validate().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     let _ = std::fs::remove_dir_all(&fresh_dir);
+    let _ = std::fs::remove_dir_all(&fresh_again_dir);
+}
+
+/// A crash between a sweep removal's file rename and its index update
+/// leaves the tile file one version ahead of the index. The next
+/// `Replace` in the same process must still open that tile and fail
+/// typed, even for a source the tile never held: neither the ledger the
+/// index knew for the old version nor the cached old snapshot describes
+/// the file. Reopening and re-running the `Replace`s heals to a fresh
+/// build. Run with the default tile cache (the old snapshot would still
+/// be cached) and with a one-slot cache (it would have been evicted).
+#[test]
+fn replace_crash_after_rename_fails_typed_then_heals() {
+    let granule = "20190915010203_05000210";
+    let perturbed = line_product(350, -299_000.0, -1_299_000.0, 23.0, 21.0, 0.31);
+    // A third source in the same layer, in the domain's south-west
+    // corner tile, clear of every tile the first source ever held.
+    let corner = line_product(60, -309_500.0, -1_309_500.0, 40.0, 0.0, 0.18);
+
+    // The shifted Replace merges into this many tiles before its sweep.
+    let probe_dir = temp_dir("crash_probe");
+    let probe = Catalog::create(&probe_dir, grid()).unwrap();
+    let n_merges = probe.ingest_beam(granule, 0, &perturbed).unwrap().n_tiles as u64;
+    let (fresh, fresh_dir) = fresh_build("crash_fresh", &perturbed);
+    fresh.ingest_beam(granule, 2, &corner).unwrap();
+
+    let default = CatalogOptions::default();
+    for (cache_capacity, cache_stripes) in [(default.cache_capacity, default.cache_stripes), (1, 1)]
+    {
+        let dir = temp_dir(&format!("crash_after_rename_{cache_capacity}"));
+        let plan = Arc::new(FaultPlan::scripted());
+        let options = CatalogOptions {
+            cache_capacity,
+            cache_stripes,
+            fault: Some(Arc::clone(&plan)),
+            ..CatalogOptions::default()
+        };
+        let catalog = Catalog::create_with(&dir, grid(), options).unwrap();
+        build(&catalog);
+        let first_sweep_write = plan.hits(FaultPlan::TILE_AFTER_RENAME) + n_merges;
+        plan.script(
+            FaultPlan::TILE_AFTER_RENAME,
+            first_sweep_write,
+            FaultAction::Crash,
+        );
+        match catalog.ingest_beam_with(granule, 0, &perturbed, IngestMode::Replace) {
+            Err(CatalogError::FaultInjected(site)) => {
+                assert_eq!(site, FaultPlan::TILE_AFTER_RENAME)
+            }
+            other => panic!("the sweep removal did not crash: {other:?}"),
+        }
+        match catalog.ingest_beam_with(granule, 2, &corner, IngestMode::Replace) {
+            Err(CatalogError::Corrupt(what)) => {
+                assert_eq!(what, "tile file behind its index entry")
+            }
+            other => panic!("cache {cache_capacity}: the crashed tile was passed over: {other:?}"),
+        }
+        drop(catalog);
+
+        let healed = Catalog::open(&dir).unwrap();
+        healed
+            .ingest_beam_with(granule, 0, &perturbed, IngestMode::Replace)
+            .unwrap();
+        healed
+            .ingest_beam_with(granule, 2, &corner, IngestMode::Replace)
+            .unwrap();
+        assert_eq!(battery(&healed), battery(&fresh));
+        healed.validate().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for d in [&fresh_dir, &probe_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 #[test]

@@ -559,7 +559,7 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::time::Instant;
 
     const LISTENER: Token = Token(0);
@@ -656,17 +656,20 @@ mod tests {
         let mut events = Events::with_capacity(4);
         let waker = Arc::new(Waker::new(&mut poll, WAKER).unwrap());
         let w2 = Arc::clone(&waker);
-        let t0 = Instant::now();
+        let sent = Arc::new(Barrier::new(2));
+        let sent2 = Arc::clone(&sent);
         let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
             // Many wakes before the poll sees any: they coalesce.
             for _ in 0..100 {
                 w2.wake().unwrap();
             }
+            sent2.wait();
         });
+        // The first poll starts only after all 100 wakes are sent, so
+        // no wake can land between it and the drain check below.
+        sent.wait();
         let hits = poll_until(&mut poll, &mut events, WAKER, Duration::from_secs(5));
         assert!(hits[0].is_readable());
-        assert!(t0.elapsed() >= Duration::from_millis(25));
         handle.join().unwrap();
         // Drained: the next poll does not spin on stale waker bytes.
         poll.poll(&mut events, Some(Duration::from_millis(10)))
@@ -675,6 +678,25 @@ mod tests {
             events.iter().all(|e| e.token() != WAKER),
             "waker bytes were drained"
         );
+
+        // A single wake reaches a poll already blocked with a long
+        // timeout (the serving event loop's case).
+        let t0 = Instant::now();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            waker.wake().unwrap();
+        });
+        let woken = loop {
+            poll.poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            if let Some(e) = events.iter().find(|e| e.token() == WAKER) {
+                break *e;
+            }
+            assert!(t0.elapsed() < Duration::from_secs(5), "no wake seen");
+        };
+        assert!(woken.is_readable());
+        assert!(t0.elapsed() >= Duration::from_millis(25));
+        handle.join().unwrap();
     }
 
     #[test]

@@ -11,13 +11,8 @@
 //! regenerate everything (release strongly recommended — the training
 //! experiments are compute-bound).
 
-pub mod catalog;
-pub mod chaos;
 pub mod common;
-pub mod compact;
 pub mod figures;
-pub mod observe;
-pub mod serve;
 pub mod tables;
 pub mod thickness;
 

@@ -21,15 +21,22 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use seaice::FleetDriver;
-use seaice_catalog::{Catalog, CatalogClient, CatalogServer, CatalogSink, QuerySummary, TimeRange};
+use seaice_catalog::{
+    Catalog, CatalogClient, CatalogServer, CatalogSink, GridConfig, QuerySummary, TimeRange,
+};
 use seaice_products::{
     enrich_fleet, BeamThickness, ClimatologySnow, ProductSet, ReanalysisSnow, SnowDepthModel,
     ThicknessRetrieval, VarianceBudget,
 };
 use sparklite::Cluster;
 
-use crate::catalog::grid_for;
 use crate::common::{shared_run, ExperimentOutput, Scale};
+
+/// A grid sized for one pipeline configuration's fleet: centred on the
+/// scene, wide enough for every granule track.
+fn grid_for(cfg: &seaice::PipelineConfig) -> GridConfig {
+    GridConfig::around(cfg.scene.center, cfg.track_length_m * 2.0)
+}
 
 /// Aggregates the per-sample variance budgets of a derived set's
 /// thickness-bearing points (re-evaluated at each stored operating

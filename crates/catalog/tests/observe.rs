@@ -4,18 +4,20 @@
 //! span breakdowns that reconstruct end-to-end latency on both sides
 //! of the wire.
 
+use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use icesat_geo::{MapPoint, EPSG_3976};
 use icesat_scene::SurfaceClass;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
-use seaice_catalog::obs::{parse_exposition, Histogram, HistogramSnapshot};
+use seaice_catalog::obs::{parse_exposition, Histogram, HistogramSnapshot, TraceReport};
 use seaice_catalog::wire::{self, Request, Response};
 use seaice_catalog::{
-    Catalog, CatalogClient, CatalogOptions, CatalogServer, ClientConfig, GridConfig, TimeRange,
+    Catalog, CatalogClient, CatalogError, CatalogOptions, CatalogServer, ChaosProxy, ClientConfig,
+    FaultPlan, GridConfig, RetryPolicy, TimeRange,
 };
 
 fn grid() -> GridConfig {
@@ -49,12 +51,14 @@ fn line_product(n: usize, x0: f64, y0: f64, dx: f64, dy: f64) -> FreeboardProduc
     }
 }
 
-/// Counter names (`*_total`) must be monotone non-decreasing between
-/// two scrapes of the same server.
-fn assert_counters_monotone(prev: &std::collections::BTreeMap<String, f64>, next_text: &str) {
+/// Counter names (`*_total`, labels aside) must be monotone
+/// non-decreasing between two scrapes of the same server. Trace
+/// timeline lines (`trace_total_us{trace=…}`) are not counters: they
+/// leave the exposition as the trace ring turns over.
+fn assert_counters_monotone(prev: &BTreeMap<String, f64>, next_text: &str) {
     let next = parse_exposition(next_text);
     for (name, value) in prev {
-        if !name.contains("_total") {
+        if !name.split('{').next().unwrap_or(name).ends_with("_total") {
             continue;
         }
         let now = next.get(name).copied().unwrap_or(f64::NEG_INFINITY);
@@ -65,9 +69,129 @@ fn assert_counters_monotone(prev: &std::collections::BTreeMap<String, f64>, next
     }
 }
 
+/// A traced client with deadlines and retries behind a seeded chaos
+/// proxy, reconnecting after each failed query: the faulted input of
+/// the introspect test. Every client it opens registers into one
+/// registry, so the client counters cover the whole workload.
+struct FaultedQueries {
+    proxy: ChaosProxy,
+    config: ClientConfig,
+    client: Option<CatalogClient>,
+    completed: u64,
+    last_trace: Option<TraceReport>,
+    counters: BTreeMap<String, f64>,
+}
+
+impl FaultedQueries {
+    fn start(upstream: &str, seed: u64) -> FaultedQueries {
+        FaultedQueries {
+            proxy: ChaosProxy::start(upstream, Arc::new(FaultPlan::seeded(seed))).unwrap(),
+            config: ClientConfig {
+                connect_timeout: Some(Duration::from_millis(500)),
+                request_deadline: Some(Duration::from_millis(700)),
+                retry: RetryPolicy::attempts(4),
+                trace: true,
+                ..ClientConfig::default()
+            },
+            client: None,
+            completed: 0,
+            last_trace: None,
+            counters: BTreeMap::new(),
+        }
+    }
+
+    /// One whole-domain query; a failure must be typed and drops the
+    /// connection. The client's own `*_total` counters stay monotone.
+    fn query(&mut self) {
+        let typed = |e: &CatalogError| {
+            assert!(
+                matches!(
+                    e,
+                    CatalogError::Timeout { .. }
+                        | CatalogError::RetriesExhausted { .. }
+                        | CatalogError::Io(_)
+                        | CatalogError::Protocol(_)
+                ),
+                "untyped failure under fault injection: {e}"
+            )
+        };
+        if self.client.is_none() {
+            match CatalogClient::connect_with(&self.proxy.addr().to_string(), self.config.clone()) {
+                Ok(client) => self.client = Some(client),
+                Err(e) => typed(&e),
+            }
+        }
+        if let Some(client) = self.client.as_mut() {
+            match client.query_rect(&grid().domain(), TimeRange::all()) {
+                Ok(_) => {
+                    self.completed += 1;
+                    self.last_trace = client.last_trace();
+                }
+                Err(e) => {
+                    typed(&e);
+                    self.client = None;
+                }
+            }
+        }
+        let text = self.config.registry.expose();
+        assert_counters_monotone(&self.counters, &text);
+        self.counters = parse_exposition(&text);
+    }
+
+    /// The retry story reconciles with the completed queries, and the
+    /// last traced request's server report nests inside the client's.
+    fn finish(self, server: &CatalogServer) {
+        assert!(self.proxy.plan().injected() > 0, "the plan never fired");
+        assert!(self.completed > 0, "no query completed under the plan");
+        assert!(
+            self.counters["client_retries_total"] > 0.0,
+            "the plan never forced a retry"
+        );
+        let attempts = self.counters["client_attempts_total"];
+        assert!(
+            attempts >= self.completed as f64,
+            "client attempts ({attempts}) below completed queries ({})",
+            self.completed
+        );
+        let client_report = self.last_trace.expect("a completed traced request");
+        assert!(client_report.spans_total_us() <= client_report.total_us);
+        // The handler publishes its report after replying.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let server_report = loop {
+            let found = server
+                .recent_traces()
+                .into_iter()
+                .find(|r| r.id == client_report.id);
+            if let Some(report) = found {
+                break report;
+            }
+            assert!(Instant::now() < deadline, "server never reported the trace");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert!(server_report.spans_total_us() <= server_report.total_us);
+        assert!(
+            server_report.total_us <= client_report.total_us,
+            "server total {} exceeds client total {}",
+            server_report.total_us,
+            client_report.total_us
+        );
+        drop(self.client);
+        self.proxy.shutdown();
+    }
+}
+
 #[test]
 fn introspect_scrapes_stay_parseable_and_monotone_under_concurrent_ingest() {
-    let dir = temp_dir("introspect");
+    // Two inputs: the scrape connection itself queries between scrapes,
+    // or a [`FaultedQueries`] workload does, so the scrapes also run
+    // while seeded faults force retries and reconnects.
+    for fault_seed in [None, Some(7)] {
+        scrape_under_concurrent_ingest(fault_seed);
+    }
+}
+
+fn scrape_under_concurrent_ingest(fault_seed: Option<u64>) {
+    let dir = temp_dir(&format!("introspect_{}", fault_seed.unwrap_or(0)));
     let catalog = Arc::new(Catalog::create(&dir, grid()).unwrap());
     let server = CatalogServer::serve(Arc::clone(&catalog), "127.0.0.1:0").unwrap();
     let addr = server.addr().to_string();
@@ -92,10 +216,13 @@ fn introspect_scrapes_stay_parseable_and_monotone_under_concurrent_ingest() {
         }
     });
 
+    let mut faulted = fault_seed.map(|seed| FaultedQueries::start(&addr, seed));
+    // The faulted input runs long enough for the plan to bite.
+    let min_scrapes = if faulted.is_some() { 60 } else { 4 };
     let mut client = CatalogClient::connect(&addr).unwrap();
-    let mut prev = std::collections::BTreeMap::new();
+    let mut prev = BTreeMap::new();
     let mut scrapes = 0u64;
-    while !ingest.is_finished() || scrapes < 4 {
+    while !ingest.is_finished() || scrapes < min_scrapes {
         let text = client.introspect().unwrap();
         assert!(!text.is_empty(), "exposition must not be empty");
         assert!(
@@ -106,7 +233,12 @@ fn introspect_scrapes_stay_parseable_and_monotone_under_concurrent_ingest() {
         prev = parse_exposition(&text);
         scrapes += 1;
         // A served query in between moves the per-kind counters too.
-        let _ = client.query_rect(&client.grid().domain().clone(), TimeRange::all());
+        match faulted.as_mut() {
+            Some(workload) => workload.query(),
+            None => {
+                let _ = client.query_rect(&client.grid().domain().clone(), TimeRange::all());
+            }
+        }
     }
     ingest.join().unwrap();
 
@@ -127,6 +259,9 @@ fn introspect_scrapes_stay_parseable_and_monotone_under_concurrent_ingest() {
     assert!(metrics.contains_key("tile_cache_hits_total"));
     assert!(metrics.contains_key("tile_cache_misses_total"));
     assert!(metrics.contains_key("tile_cache_evictions_total"));
+    if let Some(workload) = faulted {
+        workload.finish(&server);
+    }
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

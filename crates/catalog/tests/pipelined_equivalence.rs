@@ -10,7 +10,7 @@
 //! `submit_*`/`wait` pipelined path the facade is built on.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use icesat_geo::{MapPoint, EPSG_3976};
 use icesat_scene::SurfaceClass;
@@ -139,11 +139,13 @@ fn rects() -> Vec<MapRect> {
     ]
 }
 
-/// N clients × M in-flight requests against a quiescent store: every
-/// pipelined answer is bit-identical to the in-process answer, with
-/// waits issued in reverse submission order (so completion order,
-/// arrival order, and wait order all differ) and streamed batches of
-/// concurrent full-domain queries interleaving on each connection.
+/// N threads × C connections × M in-flight requests against a
+/// quiescent store: every pipelined answer is bit-identical to the
+/// in-process answer, with waits issued in reverse submission order (so
+/// completion order, arrival order, and wait order all differ) and
+/// streamed batches of concurrent full-domain queries interleaving on
+/// each connection. All 64 connections are open at once, and each round
+/// submits every connection's battery before any answer is awaited.
 #[test]
 fn pipelined_queries_are_bit_identical_and_order_independent() {
     let dir = temp_dir("quiescent");
@@ -164,52 +166,82 @@ fn pipelined_queries_are_bit_identical_and_order_independent() {
     let oct = TimeRange::only(TimeKey::new(2019, 10).unwrap());
     let oct_truth = local.query_rect(&grid().domain(), oct).unwrap();
 
-    let n_clients = 4;
+    let n_threads = 4;
+    let conns_per_thread = 16;
+    let n_conns = n_threads * conns_per_thread;
     let rounds = 3;
-    let handles: Vec<_> = (0..n_clients)
-        .map(|c| {
+    // Threads plus this one: every connection is open before the gauge
+    // is read, and stays open until it has been.
+    let opened = Arc::new(Barrier::new(n_threads + 1));
+    let counted = Arc::new(Barrier::new(n_threads + 1));
+    let handles: Vec<_> = (0..n_threads)
+        .map(|t| {
             let addr = addr.clone();
             let rect_truth = rect_truth.clone();
             let layer_truth = layer_truth.clone();
             let cells_truth = cells_truth.clone();
+            let (opened, counted) = (Arc::clone(&opened), Arc::clone(&counted));
             std::thread::spawn(move || {
-                let mut client = CatalogClient::connect(&addr).unwrap();
+                let mut clients: Vec<CatalogClient> = (0..conns_per_thread)
+                    .map(|_| CatalogClient::connect(&addr).unwrap())
+                    .collect();
+                opened.wait();
+                counted.wait();
                 for round in 0..rounds {
-                    // Submit the whole battery without reading a byte.
-                    let rect_pending: Vec<_> = rects()
-                        .iter()
-                        .map(|r| client.submit_query_rect(r, TimeRange::all()).unwrap())
+                    // Submit the whole battery on every connection
+                    // without reading a byte.
+                    let batteries: Vec<_> = clients
+                        .iter_mut()
+                        .map(|client| {
+                            let rect_pending: Vec<_> = rects()
+                                .iter()
+                                .map(|r| client.submit_query_rect(r, TimeRange::all()).unwrap())
+                                .collect();
+                            let layers = client.submit_query_time_range(TimeRange::all()).unwrap();
+                            let cells = client
+                                .submit_query_cells(&grid().domain(), TimeRange::all())
+                                .unwrap();
+                            let oct_pending =
+                                client.submit_query_rect(&grid().domain(), oct).unwrap();
+                            let pinged = client.submit_ping().unwrap();
+                            assert_eq!(client.in_flight(), rects().len() + 4);
+                            (rect_pending, layers, cells, oct_pending, pinged)
+                        })
                         .collect();
-                    let layers = client.submit_query_time_range(TimeRange::all()).unwrap();
-                    let cells = client
-                        .submit_query_cells(&grid().domain(), TimeRange::all())
-                        .unwrap();
-                    let oct_pending = client.submit_query_rect(&grid().domain(), oct).unwrap();
-                    let pinged = client.submit_ping().unwrap();
-                    assert_eq!(client.in_flight(), rects().len() + 4);
 
                     // Redeem in an order unrelated to submission order.
-                    let stats = client.wait(pinged).unwrap();
-                    assert!(stats.requests > 0, "client {c} round {round}: no requests");
-                    assert_bits(
-                        &oct_truth,
-                        &client.wait(oct_pending).unwrap(),
-                        &format!("client {c} round {round} october"),
-                    );
-                    assert_eq!(cells_truth, client.wait(cells).unwrap());
-                    assert_eq!(layer_truth, client.wait(layers).unwrap());
-                    for (i, pending) in rect_pending.into_iter().enumerate().rev() {
+                    for (k, (client, battery)) in clients.iter_mut().zip(batteries).enumerate() {
+                        let (rect_pending, layers, cells, oct_pending, pinged) = battery;
+                        let c = format!("thread {t} connection {k}");
+                        let stats = client.wait(pinged).unwrap();
+                        assert!(stats.requests > 0, "{c} round {round}: no requests");
                         assert_bits(
-                            &rect_truth[i],
-                            &client.wait(pending).unwrap(),
-                            &format!("client {c} round {round} rect {i}"),
+                            &oct_truth,
+                            &client.wait(oct_pending).unwrap(),
+                            &format!("{c} round {round} october"),
                         );
+                        assert_eq!(cells_truth, client.wait(cells).unwrap());
+                        assert_eq!(layer_truth, client.wait(layers).unwrap());
+                        for (i, pending) in rect_pending.into_iter().enumerate().rev() {
+                            assert_bits(
+                                &rect_truth[i],
+                                &client.wait(pending).unwrap(),
+                                &format!("{c} round {round} rect {i}"),
+                            );
+                        }
+                        assert_eq!(client.in_flight(), 0);
                     }
-                    assert_eq!(client.in_flight(), 0);
                 }
             })
         })
         .collect();
+    opened.wait();
+    let open = server.registry().gauge("server_connections_open").get();
+    assert!(
+        open >= n_conns as i64,
+        "only {open} of {n_conns} connections open at once"
+    );
+    counted.wait();
     for h in handles {
         h.join().unwrap();
     }
@@ -217,8 +249,8 @@ fn pipelined_queries_are_bit_identical_and_order_independent() {
     // Multiplexing really happened: more requests than connections, and
     // nothing is left in flight server-side.
     let stats = server.stats();
-    assert!(stats.connections as usize >= n_clients);
-    assert!(stats.requests >= (n_clients * rounds * (rects().len() + 4)) as u64);
+    assert!(stats.connections as usize >= n_conns);
+    assert!(stats.requests >= (n_conns * rounds * (rects().len() + 4)) as u64);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

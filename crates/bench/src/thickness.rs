@@ -12,13 +12,10 @@
 //! explicit [`enrich_fleet`] + ingest), the stores answer gridded
 //! thickness queries, and a TCP server round-trip asserts the served
 //! answers are **bit-identical** to the in-process ones under both
-//! models — the acceptance criterion for tile format v3.
-//!
-//! Emits the `thickness_retrieval_samples_per_s` and
-//! `catalog_thickness_query_per_s` rates.
+//! models — the acceptance criterion for the thickness-bearing tile
+//! format.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use seaice::FleetDriver;
 use seaice_catalog::{
@@ -137,22 +134,8 @@ pub fn thickness(scale: Scale) -> ExperimentOutput {
     let sources = FleetDriver::write_fleet(pipeline, &fleet_dir, n_granules).expect("fleet files");
     let driver = FleetDriver::new(Cluster::new(2, 2), &pipeline.cfg);
     let (products, _) = driver.classify_run(&sources, &run.models);
-    let n_points: usize = products.iter().map(|p| p.freeboard.len()).sum();
-
-    // Retrieval throughput: repeated full-fleet enrichment.
-    let reps = match scale {
-        Scale::Quick => 3usize,
-        Scale::Full => 8,
-    };
     let enriched: Vec<BeamThickness> =
         enrich_fleet(&products, &reanalysis, &retrieval).expect("fleet enrichment");
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(
-            enrich_fleet(&products, &reanalysis, &retrieval).expect("fleet enrichment"),
-        );
-    }
-    let retrieval_per_s = (n_points * reps) as f64 / t0.elapsed().as_secs_f64().max(1e-9);
 
     // One catalog per snow model. The climatology store exercises the
     // single-call sink path (classify → enrich → ingest); the reanalysis
@@ -173,23 +156,7 @@ pub fn thickness(scale: Scale) -> ExperimentOutput {
         .expect("reanalysis ingest");
     assert_eq!(ingest.n_samples, rean_ingest.n_samples);
 
-    // Thickness query throughput over the climatology store (hot
-    // cache), then the served bit-identity check under both models.
-    let q_reps = match scale {
-        Scale::Quick => 200usize,
-        Scale::Full => 800,
-    };
-    let domain = clim_cat.grid().domain();
-    let t0 = Instant::now();
-    for _ in 0..q_reps {
-        std::hint::black_box(
-            clim_cat
-                .query_rect(&domain, TimeRange::all())
-                .expect("thickness throughput query"),
-        );
-    }
-    let query_per_s = q_reps as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-
+    // The served bit-identity check under both models.
     let clim_cat = Arc::new(clim_cat);
     let rean_cat = Arc::new(rean_cat);
     let sum_clim = served_thickness(Arc::clone(&clim_cat));
@@ -216,10 +183,6 @@ pub fn thickness(scale: Scale) -> ExperimentOutput {
             s.mean_thickness_m, s.ivw_mean_thickness_m, s.thickness_sigma_m
         ));
     }
-    report.push_str(&format!(
-        "  retrieval {:.0} samples/s   thickness queries {:.0}/s\n",
-        retrieval_per_s, query_per_s
-    ));
 
     let budget = aggregate_budget(&set_clim);
     let metrics: Vec<(String, f64)> = vec![
@@ -255,8 +218,6 @@ pub fn thickness(scale: Scale) -> ExperimentOutput {
             "thickness_snow_var_share".into(),
             budget.snow / budget.total().max(f64::MIN_POSITIVE),
         ),
-        ("thickness_retrieval_samples_per_s".into(), retrieval_per_s),
-        ("catalog_thickness_query_per_s".into(), query_per_s),
     ];
 
     let _ = std::fs::remove_dir_all(&fleet_dir);
@@ -282,8 +243,6 @@ mod tests {
         assert!(out.metric("thickness_bearing_samples").unwrap() > 0.0);
         assert!(out.metric("thickness_mean_climatology_m").unwrap() > 0.0);
         assert!(out.metric("thickness_ivw_reanalysis_m").unwrap() > 0.0);
-        assert!(out.metric("thickness_retrieval_samples_per_s").unwrap() > 0.0);
-        assert!(out.metric("catalog_thickness_query_per_s").unwrap() > 0.0);
         // Snow depth dominates the uncertainty on snow-loaded ice.
         let share = out.metric("thickness_snow_var_share").unwrap();
         assert!((0.0..=1.0).contains(&share) && share > 0.3, "share {share}");

@@ -76,7 +76,15 @@ const READ_TICK: Duration = Duration::from_millis(25);
 // Resilience configuration.
 // ---------------------------------------------------------------------------
 
-/// Bounded-retry schedule: exponential backoff with seeded jitter.
+/// Backoff before the first retry; doubles per subsequent retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
+/// Cap on any single backoff sleep.
+const MAX_BACKOFF: Duration = Duration::from_millis(200);
+/// Seed for the ±25% jitter applied to each backoff.
+const JITTER_SEED: u64 = 0x5eed_cafe;
+
+/// Bounded-retry schedule: exponential backoff (10 ms doubling to a
+/// 200 ms cap) with seeded jitter.
 ///
 /// Retrying is *always* safe against a catalog server — queries are
 /// read-only and the write RPCs are idempotent per `(granule, beam)`
@@ -88,24 +96,13 @@ const READ_TICK: Duration = Duration::from_millis(25);
 pub struct RetryPolicy {
     /// Total attempts per request, including the first (`>= 1`).
     pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
-    /// Cap on any single backoff sleep.
-    pub max_backoff: Duration,
-    /// Seed for the ±25% jitter applied to each backoff.
-    pub jitter_seed: u64,
 }
 
 impl RetryPolicy {
     /// No retries: one attempt, fail on the first transport error (the
     /// default — identical to the pre-resilience client).
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter_seed: 0,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// `max_attempts` total attempts with a 10 ms → 200 ms backoff
@@ -113,9 +110,6 @@ impl RetryPolicy {
     pub fn attempts(max_attempts: u32) -> RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
-            jitter_seed: 0x5eed_cafe,
         }
     }
 
@@ -124,16 +118,14 @@ impl RetryPolicy {
     /// Exponential in the ordinal, capped, with deterministic ±25%
     /// jitter drawn from the seed and the ordinal.
     pub fn backoff(&self, attempt: u32) -> Duration {
-        if attempt == 0 || self.base_backoff.is_zero() {
+        if attempt == 0 {
             return Duration::ZERO;
         }
-        let exp = self
-            .base_backoff
+        let exp = BASE_BACKOFF
             .saturating_mul(1u32 << (attempt - 1).min(16))
-            .min(self.max_backoff);
-        let mut state = self
-            .jitter_seed
-            .wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            .min(MAX_BACKOFF);
+        let mut state =
+            JITTER_SEED.wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let r = splitmix64(&mut state);
         // Jitter factor in [0.75, 1.25): full-throughput retries from
         // many clients must not re-collide on the same tick.
@@ -1962,4 +1954,26 @@ pub fn partition_thickness(
             points,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Attempt 0 never sleeps; retry k sleeps within ±25% of
+    /// `min(10 ms · 2^(k−1), 200 ms)`, the same value on every call.
+    #[test]
+    fn backoff_doubles_to_the_cap_within_the_jitter_band() {
+        let policy = RetryPolicy::attempts(30);
+        assert_eq!(policy.backoff(0), Duration::ZERO);
+        for k in 1..30u32 {
+            let nominal_ms = (10.0 * 2f64.powi(k as i32 - 1)).min(200.0);
+            let ms = policy.backoff(k).as_secs_f64() * 1e3;
+            assert!(
+                (0.75 * nominal_ms..1.25 * nominal_ms).contains(&ms),
+                "retry {k}: {ms} ms outside [0.75, 1.25) x {nominal_ms} ms"
+            );
+            assert_eq!(policy.backoff(k), policy.backoff(k), "retry {k}");
+        }
+    }
 }

@@ -297,22 +297,7 @@ pub fn compact(
         }
     }
 
-    // Carry the completed-ingest sidecar ledgers across (union per
-    // destination layer), so the compacted catalog keeps skipping
-    // re-ingests of everything the source had completed.
-    let mut sidecars: BTreeMap<TimeKey, BTreeSet<u64>> = BTreeMap::new();
-    let mut src_layers: Vec<TimeKey> = keys.iter().map(|k| k.time).collect();
-    src_layers.dedup();
-    for time in src_layers {
-        sidecars
-            .entry(cfg.layers.map(time))
-            .or_default()
-            .extend(src.layer_ledger(time));
-    }
     report.n_layers_out = dst.layers().len();
-    for (time, sources) in sidecars {
-        dst.install_layer_ledger(time, sources)?;
-    }
     Ok(report)
 }
 

@@ -14,9 +14,9 @@
 //!   chaos sweeps). The same seed always deals the same per-site fault
 //!   sequence, independent of cross-site thread interleaving, because
 //!   every site owns its own stream.
-//! - The store's persist path consults `persist.tile.*` /
-//!   `persist.ledger.*` sites around its atomic temp+rename steps, so a
-//!   test can "kill" a writer at the exact worst instant
+//! - The store's persist path consults `persist.tile.*` sites around
+//!   its atomic temp+rename steps, so a test can "kill" a writer at
+//!   the exact worst instant
 //!   ([`FaultAction::Crash`] makes the operation abandon mid-flight,
 //!   leaving on-disk state as a real crash would; the instance is then
 //!   discarded and the directory reopened, which is what a restarted
@@ -137,10 +137,6 @@ impl FaultPlan {
     /// Site name: the tile persist path, after the rename but before
     /// the version index / cache publish.
     pub const TILE_AFTER_RENAME: &'static str = "persist.tile.after_rename";
-    /// Site name: the sidecar-ledger write, before its rename.
-    pub const LEDGER_BEFORE_RENAME: &'static str = "persist.ledger.before_rename";
-    /// Site name: the sidecar-ledger write, after its rename.
-    pub const LEDGER_AFTER_RENAME: &'static str = "persist.ledger.after_rename";
     /// Site name: the top of every ingest call — a [`FaultAction::StallMs`]
     /// here models a wedged writer (GC pause, stopped VM) and must make
     /// the lease self-fence before the next write.

@@ -85,7 +85,7 @@ pub use store::{
     Catalog, CatalogOptions, CatalogSink, CatalogStats, CellSummary, IngestMode, IngestReport,
     QuerySummary, TilePartial,
 };
-pub use tile::{CatalogManifest, CellAggregate, LayerLedger, SampleRecord, Tile};
+pub use tile::{CatalogManifest, CellAggregate, SampleRecord, Tile};
 
 /// The observability toolkit the catalog instruments itself with
 /// (metric registry, histograms, tracing) — re-exported so servers and

@@ -434,13 +434,9 @@ impl Conn {
     }
 }
 
-/// Why a connection ends (all paths converge on `close_conn`).
-enum Close {
-    /// EOF / idle / shutdown-type endings.
-    Clean,
-    /// Framing violation or transport failure.
-    Broken,
-}
+/// A read or flush ended its connection: EOF, a framing violation or
+/// a transport failure (every path converges on `close_conn`).
+struct Close;
 
 fn event_loop(
     mut poll: Poll,
@@ -470,8 +466,8 @@ fn event_loop(
                     if event.is_readable() {
                         touched.push(id);
                         if let Some(conn) = conns.get_mut(&id) {
-                            if let Err(close) = read_ready(conn, shared, counters, config) {
-                                close_conn(&mut poll, &mut conns, id, close, counters);
+                            if read_ready(conn, shared, counters).is_err() {
+                                close_conn(&mut poll, &mut conns, id, counters);
                                 continue;
                             }
                         }
@@ -505,8 +501,8 @@ fn event_loop(
             let Some(conn) = conns.get_mut(&id) else {
                 continue;
             };
-            if let Err(close) = flush_conn(conn, &poll) {
-                close_conn(&mut poll, &mut conns, id, close, counters);
+            if flush_conn(conn, &poll).is_err() {
+                close_conn(&mut poll, &mut conns, id, counters);
             }
         }
         // Maintenance: close worker-killed connections, then apply the
@@ -517,7 +513,7 @@ fn event_loop(
             .map(|(&id, _)| id)
             .collect();
         for id in doomed {
-            close_conn(&mut poll, &mut conns, id, Close::Broken, counters);
+            close_conn(&mut poll, &mut conns, id, counters);
         }
         if let Some(limit) = config.idle_timeout {
             let idle: Vec<usize> = conns
@@ -531,7 +527,7 @@ fn event_loop(
                 .collect();
             for id in idle {
                 counters.idle_dropped.inc();
-                close_conn(&mut poll, &mut conns, id, Close::Clean, counters);
+                close_conn(&mut poll, &mut conns, id, counters);
             }
         }
     }
@@ -597,12 +593,7 @@ fn accept_ready(
 /// Drains the socket into the read buffer and extracts every complete
 /// frame: valid frames become worker jobs (or duplicate-id error
 /// frames); frame-level violations close the connection.
-fn read_ready(
-    conn: &mut Conn,
-    shared: &Shared,
-    counters: &Counters,
-    config: ServerConfig,
-) -> Result<(), Close> {
+fn read_ready(conn: &mut Conn, shared: &Shared, counters: &Counters) -> Result<(), Close> {
     let mut chunk = [0u8; READ_CHUNK];
     let mut saw_eof = false;
     loop {
@@ -614,7 +605,7 @@ fn read_ready(
             Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(Close::Broken),
+            Err(_) => return Err(Close),
         }
     }
     loop {
@@ -650,16 +641,15 @@ fn read_ready(
             Ok(None) => break,
             // Framing violations (bad checksum, hostile length) are
             // unrecoverable: the stream cannot be re-synchronised.
-            Err(_) => return Err(Close::Broken),
+            Err(_) => return Err(Close),
         }
     }
     // EOF after a partial frame is a truncation; either way the peer
     // is gone. In-flight requests keep running — their frames go to a
-    // dead connection and are discarded (`_ = config`-independent).
+    // dead connection and are discarded.
     if saw_eof {
-        return Err(Close::Clean);
+        return Err(Close);
     }
-    let _ = config;
     Ok(())
 }
 
@@ -699,7 +689,7 @@ fn flush_conn(conn: &mut Conn, poll: &Poll) -> Result<(), Close> {
             break;
         };
         match conn.stream.write(&frame[*written..]) {
-            Ok(0) => return Err(Close::Broken),
+            Ok(0) => return Err(Close),
             Ok(n) => {
                 *written += n;
                 if *written == frame.len() {
@@ -708,7 +698,7 @@ fn flush_conn(conn: &mut Conn, poll: &Poll) -> Result<(), Close> {
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(Close::Broken),
+            Err(_) => return Err(Close),
         }
     }
     let want_write = conn.has_output();
@@ -722,7 +712,7 @@ fn flush_conn(conn: &mut Conn, poll: &Poll) -> Result<(), Close> {
             .reregister(&conn.stream, Token(conn.shared.id), interest)
             .is_err()
         {
-            return Err(Close::Broken);
+            return Err(Close);
         }
         conn.write_interest = want_write;
     }
@@ -732,13 +722,7 @@ fn flush_conn(conn: &mut Conn, poll: &Poll) -> Result<(), Close> {
 /// Tears a connection down on any exit path: marks the shared half
 /// dead (workers stop producing for it), deregisters, and balances the
 /// open-connections gauge.
-fn close_conn(
-    poll: &mut Poll,
-    conns: &mut HashMap<usize, Conn>,
-    id: usize,
-    _close: Close,
-    counters: &Counters,
-) {
+fn close_conn(poll: &mut Poll, conns: &mut HashMap<usize, Conn>, id: usize, counters: &Counters) {
     if let Some(conn) = conns.remove(&id) {
         conn.shared.dead.store(true, Ordering::SeqCst);
         let _ = poll.deregister(&conn.stream);

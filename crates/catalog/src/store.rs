@@ -24,13 +24,14 @@
 //! pins both properties, plus ingest-order bit-invariance of query
 //! results.
 //!
-//! Ingest is **idempotent**: every tile carries a ledger of the source
-//! ids it holds, a per-layer sidecar ledger records completed ingests,
-//! and [`IngestMode`] decides whether a re-ingested source is skipped
-//! (byte-stable no-op, the default) or replaced (prior samples removed
-//! first) — fleet re-runs refresh a catalog instead of doubling it.
-//! The version index also keeps each tile's ledger once known, so a
-//! replace opens only the tiles that hold the source.
+//! Ingest is **idempotent**: every tile carries, in its header, a ledger
+//! of the source ids it holds, and [`IngestMode`] decides whether a
+//! re-ingested source is skipped (byte-stable no-op, the default) or
+//! replaced (prior samples removed first) — fleet re-runs refresh a
+//! catalog instead of doubling it. The version index reads every
+//! tile's ledger at open and keeps it current on every publish, so a
+//! skip decides each tile without reading it, and a replace opens only
+//! the tiles that hold the source.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -51,15 +52,14 @@ use sparklite::StageReport;
 
 use crate::cache::{CacheStats, TileCache, TileKey};
 use crate::grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
-use crate::tile::{CatalogManifest, CellAggregate, LayerLedger, LayerPartial, SampleRecord, Tile};
+use crate::tile::{CatalogManifest, CellAggregate, LayerPartial, SampleRecord, Tile};
 use crate::wire::{Records, Request};
 use crate::CatalogError;
 use seaice::artifact::{ArtifactError, Codec, Reader, Writer};
 
 /// Authoritative latest persisted state of one tile, kept in the index
-/// so version floors and catalog-wide counters never need tile
-/// decodes, and the `Replace` sweep needs them only for tiles whose
-/// ledger it has not learned.
+/// so version floors, catalog-wide counters and per-tile source checks
+/// never need tile decodes.
 #[derive(Debug, Clone)]
 struct IndexEntry {
     /// Latest persisted merge version.
@@ -73,20 +73,29 @@ struct IndexEntry {
 }
 
 /// An index entry's knowledge of its tile's source ledger
-/// ([`Tile::sources`]), which lets the `Replace` sweep pass over tiles
-/// that never held the source.
+/// ([`Tile::sources`]), which lets a `Skip` pass over tiles that hold
+/// the source and the `Replace` sweep over tiles that do not, both
+/// without opening them.
 #[derive(Debug, Clone)]
 enum TileLedger {
-    /// The ledger of the indexed version: set by every publish.
+    /// The ledger of the indexed version: read from the header at open
+    /// and set by every publish.
     Known(Arc<[u64]>),
-    /// Not read yet (an entry built from [`Tile::peek`] at open): the
-    /// first sweep that opens the tile learns it.
-    Unknown,
     /// A persist of this key failed, possibly after renaming a newer
-    /// file over the indexed one. The sweep opens the tile (and meets
-    /// the version check) and never learns a ledger for it; only a
-    /// later successful publish makes it known again.
+    /// file over the indexed one. Ingest opens the tile (and meets the
+    /// version check); only a later successful publish makes its ledger
+    /// known again.
     Untrusted,
+}
+
+impl TileLedger {
+    /// Whether the ledger lists `source`; `None` while it is untrusted.
+    fn lists(&self, source: u64) -> Option<bool> {
+        match self {
+            TileLedger::Known(ledger) => Some(ledger.binary_search(&source).is_ok()),
+            TileLedger::Untrusted => None,
+        }
+    }
 }
 
 /// What one per-tile merge cycle did (summed into the ingest report).
@@ -143,9 +152,8 @@ struct StoreMetrics {
     stage_project_us: Histogram,
     stage_merge_us: Histogram,
     stage_persist_us: Histogram,
-    stage_ledger_us: Histogram,
     /// Tiles a `Replace` sweep opened (ledger holds the source or is
-    /// still unknown).
+    /// untrusted).
     replace_tiles_visited: Counter,
     /// Tiles a `Replace` sweep passed over on their known ledger alone.
     replace_tiles_skipped: Counter,
@@ -161,7 +169,6 @@ impl StoreMetrics {
             stage_project_us: stage("project"),
             stage_merge_us: stage("merge"),
             stage_persist_us: stage("persist"),
-            stage_ledger_us: stage("ledger"),
             replace_tiles_visited: registry.counter("store_replace_tiles_visited_total"),
             replace_tiles_skipped: registry.counter("store_replace_tiles_skipped_total"),
         }
@@ -194,10 +201,8 @@ pub struct IngestReport {
     pub n_samples: usize,
     /// Samples rejected because they fall outside the grid domain.
     pub n_out_of_domain: usize,
-    /// Samples not written because their source was already ingested
-    /// ([`IngestMode::Skip`]). When the per-layer ledger short-circuits
-    /// the whole call, this counts the product's points (the
-    /// out-of-domain split is unknown without projecting).
+    /// In-domain samples not written because their tile already holds
+    /// their source ([`IngestMode::Skip`]).
     pub n_skipped: usize,
     /// Prior samples removed before merging ([`IngestMode::Replace`]).
     pub n_replaced: usize,
@@ -552,19 +557,13 @@ pub struct Catalog {
     grid: GridConfig,
     dir: PathBuf,
     tiles_dir: PathBuf,
-    ledgers_dir: PathBuf,
     /// Authoritative map of every persisted tile to its latest merge
-    /// version, size and, once known, source ledger (time-major key
-    /// order). Writers bump entries
+    /// version, size and source ledger (time-major key order). Writers
+    /// bump entries
     /// under their shard lock after the atomic file rename, so an index
     /// read establishes a floor no subsequent tile observation may fall
     /// below — the guard that makes stale cache resurrection harmless.
     index: RwLock<BTreeMap<TileKey, IndexEntry>>,
-    /// Per-layer completed-source sets, mirroring the on-disk sidecar
-    /// ledgers (`ledgers/YYYYMM.ledger`) — the [`IngestMode::Skip`]
-    /// fast path. Entries are only ever added, and only after every
-    /// tile merge of the recording ingest succeeded.
-    layer_sources: RwLock<BTreeMap<TimeKey, BTreeSet<u64>>>,
     cache: TileCache,
     shard_locks: Vec<Mutex<()>>,
     /// The writer lease, when this instance was opened as a leased
@@ -670,32 +669,9 @@ impl Catalog {
                         version: header.version,
                         n_samples: header.n_samples,
                         n_thickness: header.n_thickness,
-                        sources: TileLedger::Unknown,
+                        sources: TileLedger::Known(header.ledger.into()),
                     },
                 );
-            }
-        }
-        // Sidecar ledgers are a cache, not ground truth: a missing
-        // directory, an unreadable file, or a key mismatch only costs
-        // the skip fast path (the per-tile ledgers remain
-        // authoritative), so none of them fails the open.
-        let ledgers_dir = dir.join("ledgers");
-        let mut layer_sources: BTreeMap<TimeKey, BTreeSet<u64>> = BTreeMap::new();
-        if ledgers_dir.is_dir() {
-            for entry in std::fs::read_dir(&ledgers_dir)? {
-                let entry = entry?;
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if let Some(time) = parse_ledger_filename(&name) {
-                    match LayerLedger::load(&entry.path()) {
-                        Ok(ledger) if ledger.time == time => {
-                            layer_sources.insert(time, ledger.sources.into_iter().collect());
-                        }
-                        // Corrupt or mismatched sidecar: ignore it; the
-                        // next completed ingest rewrites it atomically.
-                        Ok(_) | Err(_) => {}
-                    }
-                }
             }
         }
         let metrics = StoreMetrics::new(&options.registry);
@@ -703,9 +679,7 @@ impl Catalog {
             grid,
             dir: dir.to_path_buf(),
             tiles_dir,
-            ledgers_dir,
             index: RwLock::new(index),
-            layer_sources: RwLock::new(layer_sources),
             cache: TileCache::new(options.cache_capacity, options.cache_stripes),
             shard_locks: (0..options.shards.max(1)).map(|_| Mutex::new(())).collect(),
             lease: None,
@@ -918,10 +892,9 @@ impl Catalog {
         )
     }
 
-    /// Shared ingest spine: lease heartbeat, the sidecar-ledger skip
-    /// fast path, rayon projection fan-out through `locate`, grouped
-    /// per-tile merges, the `Replace` sweep, and the completed-source
-    /// record — everything except how a point becomes a
+    /// Shared ingest spine: lease heartbeat, rayon projection fan-out
+    /// through `locate`, grouped per-tile merges and the `Replace`
+    /// sweep — everything except how a point becomes a
     /// [`SampleRecord`].
     fn ingest_source(
         &self,
@@ -943,24 +916,6 @@ impl Catalog {
         self.metrics.ingest_calls.inc();
         let time = TimeKey::from_granule_id(granule_id)?;
         let source = SampleRecord::source_id(granule_id, beam_index);
-        // Skip fast path: the layer's sidecar ledger records completed
-        // ingests, so a whole re-run short-circuits before projecting a
-        // single point — no tile is touched, no file rewritten.
-        if mode == IngestMode::Skip && self.layer_has_source(time, source) {
-            self.metrics.ingest_skipped.add(n_points as u64);
-            return Ok(IngestReport {
-                n_skipped: n_points,
-                ..IngestReport::default()
-            });
-        }
-        // A Replace invalidates the completed-ingest record up front:
-        // if it crashes partway, the layer honestly reads as incomplete
-        // for this source (re-running the Replace heals it — Skip
-        // cannot, since per-tile ledgers intentionally skip the tiles
-        // that still hold the old samples).
-        if mode == IngestMode::Replace {
-            self.unrecord_layer_source(time, source)?;
-        }
 
         // Project + locate every sample (pure, order-preserving, parallel).
         let stage_t0 = Instant::now();
@@ -1013,33 +968,20 @@ impl Catalog {
         // Replace must also clear the source out of tiles the *new*
         // product no longer reaches (a perturbed track shifts samples
         // across tile boundaries), or stale samples would linger there.
-        // The index keeps each tile's source ledger, so the sweep opens
-        // only the tiles that hold the source, plus those whose ledger
-        // is not known yet. Once the ledgers are known (any sweep after
-        // the first per layer since open) an unshifted Replace opens
-        // none. The first sweep after open opens every other tile of
-        // the layer and mostly decodes without writing; the fan-out
-        // stays parallel for it (serial measured ~1.6x slower there on
-        // 2 vCPUs, with ~100 tiles per layer).
+        // The index knows each tile's source ledger, so the sweep opens
+        // only the tiles that hold the source (an unshifted Replace
+        // opens none), one after another like the merges. A crash
+        // partway leaves some tiles holding the old samples; re-running
+        // the Replace heals them.
         if mode == IngestMode::Replace {
             let touched: BTreeSet<TileId> = groups.iter().map(|(t, _)| *t).collect();
             let (sweep, n_passed) = self.sweep_keys(time, source, &touched);
             self.metrics.replace_tiles_visited.add(sweep.len() as u64);
             self.metrics.replace_tiles_skipped.add(n_passed as u64);
-            let removed: Vec<Result<usize, CatalogError>> = (0..sweep.len())
-                .into_par_iter()
-                .map(|i| self.apply_remove(sweep[i], source))
-                .collect();
-            for r in removed {
-                n_replaced += r?;
+            for key in sweep {
+                n_replaced += self.apply_remove(key, source)?;
             }
         }
-        // Record the completed ingest in the sidecar ledger last, so a
-        // crash anywhere above leaves the source unrecorded and the next
-        // ingest heals the partial state tile by tile.
-        let stage_t0 = Instant::now();
-        self.record_layer_source(time, source)?;
-        self.metrics.stage_ledger_us.record(stage_t0.elapsed());
         self.metrics.ingest_samples.add(n_samples as u64);
         self.metrics.ingest_skipped.add(n_skipped as u64);
         Ok(IngestReport {
@@ -1096,106 +1038,6 @@ impl Catalog {
         Ok(report)
     }
 
-    /// The sources whose ingest into `time` completed, per the sidecar
-    /// ledger (sorted). Absence only means the fast path is cold — the
-    /// per-tile ledgers remain the ground truth.
-    pub fn layer_ledger(&self, time: TimeKey) -> Vec<u64> {
-        self.layer_sources
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&time)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    fn layer_has_source(&self, time: TimeKey, source: u64) -> bool {
-        self.layer_sources
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&time)
-            .is_some_and(|s| s.contains(&source))
-    }
-
-    /// Records a completed ingest in the per-layer sidecar ledger:
-    /// in-memory set first, then an atomic file replace. Serialised by
-    /// the write lock; a no-op when the source is already recorded.
-    fn record_layer_source(&self, time: TimeKey, source: u64) -> Result<(), CatalogError> {
-        let mut map = self
-            .layer_sources
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        let set = map.entry(time).or_default();
-        if !set.insert(source) {
-            return Ok(());
-        }
-        let ledger = LayerLedger {
-            time,
-            sources: set.iter().copied().collect(),
-        };
-        self.write_ledger_file(&ledger)
-    }
-
-    /// Drops a source from the completed-ingest sidecar (the first step
-    /// of a `Replace`): while the replace is in flight the layer is not
-    /// complete for this source, and a crash must leave it reading that
-    /// way. A no-op when the source was never recorded.
-    fn unrecord_layer_source(&self, time: TimeKey, source: u64) -> Result<(), CatalogError> {
-        let mut map = self
-            .layer_sources
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        let Some(set) = map.get_mut(&time) else {
-            return Ok(());
-        };
-        if !set.remove(&source) {
-            return Ok(());
-        }
-        let ledger = LayerLedger {
-            time,
-            sources: set.iter().copied().collect(),
-        };
-        self.write_ledger_file(&ledger)
-    }
-
-    /// Installs a whole layer ledger (compaction's bulk path).
-    pub(crate) fn install_layer_ledger(
-        &self,
-        time: TimeKey,
-        sources: BTreeSet<u64>,
-    ) -> Result<(), CatalogError> {
-        if sources.is_empty() {
-            return Ok(());
-        }
-        let mut map = self
-            .layer_sources
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        let set = map.entry(time).or_default();
-        set.extend(sources.iter().copied());
-        let ledger = LayerLedger {
-            time,
-            sources: set.iter().copied().collect(),
-        };
-        self.write_ledger_file(&ledger)
-    }
-
-    fn write_ledger_file(&self, ledger: &LayerLedger) -> Result<(), CatalogError> {
-        std::fs::create_dir_all(&self.ledgers_dir)?;
-        let path = self.ledgers_dir.join(format!(
-            "{:04}{:02}.ledger",
-            ledger.time.year, ledger.time.month
-        ));
-        let tmp = path.with_extension("ledger.tmp");
-        std::fs::write(&tmp, ledger.to_bytes())?;
-        // Crash here: tiles hold the source but the sidecar never
-        // records it — the next Skip ingest redoes the (idempotent)
-        // merges tile by tile and rewrites the sidecar.
-        self.fault_hook(crate::fault::FaultPlan::LEDGER_BEFORE_RENAME)?;
-        std::fs::rename(&tmp, &path)?;
-        self.fault_hook(crate::fault::FaultPlan::LEDGER_AFTER_RENAME)?;
-        Ok(())
-    }
-
     /// One read-modify-write cycle for one tile, serialised per shard.
     ///
     /// The merge base is chosen against the authoritative index version,
@@ -1207,9 +1049,10 @@ impl Catalog {
     /// therefore never become a merge base and lose updates.
     ///
     /// The per-tile ledger decides what `mode` does here: under `Skip` a
-    /// tile already holding `source` is left untouched (not even
-    /// rewritten — byte stability is the contract); under `Replace` the
-    /// source's prior samples are dropped before the batch merges.
+    /// tile already holding `source` is left untouched (not even read
+    /// when the index ledger lists the source, never rewritten — byte
+    /// stability is the contract); under `Replace` the source's prior
+    /// samples are dropped before the batch merges.
     fn apply_merge(
         &self,
         key: TileKey,
@@ -1221,12 +1064,18 @@ impl Catalog {
             .shard_lock(&key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let current = self.current_tile(&key)?;
-        let mut outcome = MergeOutcome::default();
-        if mode == IngestMode::Skip && current.as_ref().is_some_and(|t| t.has_source(source)) {
-            outcome.skipped = batch.len();
-            return Ok(outcome);
+        let skip = MergeOutcome {
+            skipped: batch.len(),
+            ..MergeOutcome::default()
+        };
+        if mode == IngestMode::Skip && self.indexed_lists(&key, source) == Some(true) {
+            return Ok(skip);
         }
+        let current = self.current_tile(&key)?;
+        if mode == IngestMode::Skip && current.as_ref().is_some_and(|t| t.has_source(source)) {
+            return Ok(skip);
+        }
+        let mut outcome = MergeOutcome::default();
         let mut tile = current
             .map(Arc::unwrap_or_clone)
             .unwrap_or_else(|| Tile::new(key.tile, key.time));
@@ -1245,9 +1094,8 @@ impl Catalog {
     }
 
     /// Removes `source` from one tile (the `Replace` sweep), a no-op
-    /// when the tile never held it. A tile that turns out not to hold
-    /// the source is asked from its snapshot, without a copy, and its
-    /// ledger is recorded in the index so later sweeps pass it over.
+    /// when the tile never held it (asked from its snapshot, without a
+    /// copy).
     fn apply_remove(&self, key: TileKey, source: u64) -> Result<usize, CatalogError> {
         let _own = self
             .shard_lock(&key)
@@ -1257,7 +1105,6 @@ impl Catalog {
             return Ok(0);
         };
         if !current.has_source(source) {
-            self.learn_sources(&key, &current);
             return Ok(0);
         }
         guard_not_archived(&current, source)?;
@@ -1269,8 +1116,8 @@ impl Catalog {
 
     /// The `Replace` sweep's targets in layer `time`, read under one
     /// index lock: every tile outside `touched` (the merge targets)
-    /// whose ledger holds `source` or is still unknown. Also returns
-    /// how many tiles their known ledger let it pass over.
+    /// whose ledger holds `source` or is untrusted. Also returns how
+    /// many tiles their known ledger let it pass over.
     fn sweep_keys(
         &self,
         time: TimeKey,
@@ -1284,28 +1131,23 @@ impl Catalog {
             if key.time != time || touched.contains(&key.tile) {
                 continue;
             }
-            match &entry.sources {
-                TileLedger::Known(ledger) if ledger.binary_search(&source).is_err() => {
-                    n_passed += 1
-                }
-                _ => visit.push(*key),
+            if entry.sources.lists(source) == Some(false) {
+                n_passed += 1;
+            } else {
+                visit.push(*key);
             }
         }
         (visit, n_passed)
     }
 
-    /// Records `tile`'s ledger in its index entry while it is
-    /// [`TileLedger::Unknown`], and only while `tile` is still the indexed
-    /// version. Callers
-    /// hold the key's shard lock (the same shard lock → index order as
-    /// `publish`).
-    fn learn_sources(&self, key: &TileKey, tile: &Tile) {
-        let mut index = self.index.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = index.get_mut(key) {
-            if entry.version == tile.version && matches!(entry.sources, TileLedger::Unknown) {
-                entry.sources = TileLedger::Known(tile.sources().into());
-            }
-        }
+    /// [`TileLedger::lists`] for `key`'s index entry; `Some(false)` when
+    /// the index has no such tile.
+    fn indexed_lists(&self, key: &TileKey, source: u64) -> Option<bool> {
+        self.index
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(key)
+            .map_or(Some(false), |e| e.sources.lists(source))
     }
 
     /// The lock that serialises every write cycle of `key`'s shard.
@@ -1346,7 +1188,7 @@ impl Catalog {
     /// old one, so neither the recorded ledger nor the cached snapshot
     /// can be trusted to describe the file: the ledger is marked
     /// [`TileLedger::Untrusted`] and the snapshot dropped, and the next
-    /// sweep opens the tile from disk and meets the version check
+    /// ingest opens the tile from disk and meets the version check
     /// instead of passing it over.
     fn publish(&self, key: TileKey, tile: Tile) -> Result<(), CatalogError> {
         if let Err(e) = self.persist(&key, &tile) {
@@ -2013,14 +1855,6 @@ fn guard_not_archived(tile: &Tile, source: u64) -> Result<(), CatalogError> {
     Ok(())
 }
 
-fn parse_ledger_filename(name: &str) -> Option<TimeKey> {
-    let ym = name.strip_suffix(".ledger")?;
-    if ym.len() != 6 || !ym.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    TimeKey::new(ym[..4].parse().ok()?, ym[4..6].parse().ok()?).ok()
-}
-
 fn parse_tile_filename(name: &str) -> Option<TileKey> {
     let stem = name.strip_suffix(".tile")?;
     let (ym, quadkey) = stem.split_once('_')?;
@@ -2396,8 +2230,8 @@ mod tests {
     }
 
     /// The `Replace` sweep opens only the tiles whose ledger holds the
-    /// source or is not known yet, and reports both counts through the
-    /// registry.
+    /// source, from the first sweep after open on, and reports both
+    /// counts through the registry.
     #[test]
     fn replace_sweep_visits_only_tiles_holding_the_source() {
         let dir = temp_dir("sweep");
@@ -2437,17 +2271,17 @@ mod tests {
         let others = tiles.len() - targets.len();
         assert!(others > 0, "the other sources reach tiles of their own");
 
-        // Cold: after open no ledger is known, so the first Replace opens
-        // every tile it did not merge into.
+        // Cold: open read every ledger from the tile headers, so the
+        // first Replace passes over every tile it did not merge into.
         catalog
             .ingest_beam_with(granule, 0, &diagonal, IngestMode::Replace)
             .unwrap();
-        assert_eq!(counts(&catalog), (others, 0));
-        // Warm: the identical repeat passes every one of them over.
+        assert_eq!(counts(&catalog), (0, others));
+        // Warm: the identical repeat does the same.
         catalog
             .ingest_beam_with(granule, 0, &diagonal, IngestMode::Replace)
             .unwrap();
-        assert_eq!(counts(&catalog), (others, others));
+        assert_eq!(counts(&catalog), (0, 2 * others));
 
         // Shifted: exactly the tiles that held the source and were not
         // merge targets are opened, and lose the source.
@@ -2462,7 +2296,7 @@ mod tests {
         let candidates = tiles.difference(&merged).count();
         assert_eq!(
             counts(&catalog),
-            (others + stale.len(), others + candidates - stale.len())
+            (stale.len(), 2 * others + candidates - stale.len())
         );
         assert_eq!(
             merged.len(),

@@ -11,18 +11,21 @@
 //! built from the same granules in any order answer queries bit
 //! identically.
 //!
-//! After the samples (`SIT1` v3) a tile carries two more sections:
+//! Beside the samples, a tile (`SIT1` v4) carries two more sections:
 //!
-//! - the **ledger**: the sorted stable source ids (`(granule, beam)`
-//!   FNV hashes) whose samples this tile holds — what lets a re-ingest
-//!   be skipped (`IngestMode::Skip`) or replaced (`IngestMode::Replace`)
-//!   per tile, with crash-atomicity inherited from the atomic tile
-//!   replacement;
-//! - the **base aggregates**: frozen per-cell contributions of samples
-//!   dropped by a compaction retention horizon. The effective cell
-//!   aggregates are defined as the base plus the live samples pushed in
-//!   canonical order, so a tile keeps answering cell/point queries bit
-//!   identically after its segment-level detail is retired.
+//! - the **ledger**, in the header before the samples: the sorted
+//!   stable source ids (`(granule, beam)` FNV hashes) whose samples
+//!   this tile holds. It is what lets a re-ingest be skipped
+//!   (`IngestMode::Skip`) or replaced (`IngestMode::Replace`) per tile,
+//!   with crash-atomicity inherited from the atomic tile replacement,
+//!   and [`Tile::peek`] reads it without touching the samples, so the
+//!   store's index knows every tile's ledger from the moment it opens;
+//! - the **base aggregates**, after the samples: frozen per-cell
+//!   contributions of samples dropped by a compaction retention
+//!   horizon. The effective cell aggregates are defined as the base
+//!   plus the live samples pushed in canonical order, so a tile keeps
+//!   answering cell/point queries bit identically after its
+//!   segment-level detail is retired.
 //!
 //! The format carries the thickness product family:
 //!
@@ -689,8 +692,8 @@ impl Codec for Tile {
         self.time.encode(w);
         w.put_u64(self.version);
         w.put_u64(self.n_thickness());
-        self.samples.encode(w);
         self.ledger.encode(w);
+        self.samples.encode(w);
         let base_cells: Vec<(u32, CellAggregate)> =
             self.base.iter().map(|(&c, &a)| (c, a)).collect();
         base_cells.encode(w);
@@ -699,10 +702,11 @@ impl Codec for Tile {
         let id = TileId::decode(r)?;
         let time = TimeKey::decode(r)?;
         let version = r.take_u64()?;
-        // The header carries the bearing-sample count before the
-        // samples (so `peek` can index it); validated against the
-        // payload below.
+        // The header carries the bearing-sample count and the ledger
+        // before the samples (so `peek` can index them); both are
+        // validated against the payload below.
         let n_thickness = r.take_u64()?;
+        let ledger = decode_ledger(r)?;
         let n = usize::decode(r)?;
         if n > r.remaining() {
             return Err(ArtifactError::Truncated);
@@ -726,10 +730,6 @@ impl Codec for Tile {
             .all(|w| SampleRecord::canonical_cmp(&w[0], &w[1]) != std::cmp::Ordering::Greater)
         {
             return Err(ArtifactError::Invalid("tile samples out of order"));
-        }
-        let ledger: Vec<u64> = Vec::decode(r)?;
-        if !ledger.windows(2).all(|w| w[0] < w[1]) {
-            return Err(ArtifactError::Invalid("tile ledger out of order"));
         }
         // Canonical order is source-major, so one pass over the distinct
         // sample sources validates ledger coverage without re-folding the
@@ -772,11 +772,20 @@ impl Codec for Tile {
 
 impl Artifact for Tile {
     const TAG: [u8; 4] = *b"SIT1";
-    const VERSION: u16 = 3;
+    const VERSION: u16 = 4;
+}
+
+/// The header's ledger section: sorted, deduplicated source ids.
+fn decode_ledger(r: &mut Reader<'_>) -> Result<Vec<u64>, ArtifactError> {
+    let ledger: Vec<u64> = Vec::decode(r)?;
+    if !ledger.windows(2).all(|w| w[0] < w[1]) {
+        return Err(ArtifactError::Invalid("tile ledger out of order"));
+    }
+    Ok(ledger)
 }
 
 /// Header of a persisted tile, readable without decoding samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileHeader {
     /// Spatial address.
     pub id: TileId,
@@ -788,20 +797,27 @@ pub struct TileHeader {
     pub n_samples: u64,
     /// Thickness-bearing sample count.
     pub n_thickness: u64,
+    /// Sorted source ids the tile holds ([`Tile::sources`]).
+    pub ledger: Vec<u64>,
 }
 
 impl Tile {
-    /// Reads only the framed header of a tile file. The catalog uses
-    /// this to bootstrap its authoritative version/size index on open
-    /// without decoding any sample payload; a file of another format
-    /// version fails here, typed, so a store holding one never opens.
+    /// Reads only the framed header of a tile file, ledger included.
+    /// The catalog uses this to bootstrap its authoritative
+    /// version/size/ledger index on open without decoding any sample
+    /// payload; a file of another format version fails here, typed, so
+    /// a store holding one never opens.
     pub fn peek(path: &std::path::Path) -> Result<TileHeader, ArtifactError> {
         use std::io::Read;
         // tag(4) + format version(2) + id(9) + time(3) + merge
-        // counter(8) + thickness count(8) + sample-vec length(8); the
-        // bounded short read turns a truncated file into `Truncated`.
-        let mut buf = Vec::with_capacity(42);
-        Read::take(std::fs::File::open(path)?, 42).read_to_end(&mut buf)?;
+        // counter(8) + thickness count(8) + ledger length(8), then the
+        // ledger and the sample-vec length(8). Both reads are bounded
+        // by the file, so a length that runs past its end decodes as
+        // `Truncated` without allocating what it claims.
+        const FIXED: u64 = 42;
+        let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
+        let mut buf = Vec::with_capacity(FIXED as usize);
+        Read::take(&mut file, FIXED).read_to_end(&mut buf)?;
         let mut r = Reader::new(&buf);
         let tag = r.take_slice(4)?;
         if tag != Self::TAG {
@@ -811,19 +827,29 @@ impl Tile {
         if format != Self::VERSION {
             return Err(ArtifactError::BadVersion(format));
         }
+        let id = TileId::decode(&mut r)?;
+        let time = TimeKey::decode(&mut r)?;
+        let version = r.take_u64()?;
+        let n_thickness = r.take_u64()?;
+        let n_ledger = r.take_u64()?;
+        let rest = n_ledger.saturating_mul(8).saturating_add(8);
+        Read::take(&mut file, rest).read_to_end(&mut buf)?;
+        let mut r = Reader::new(&buf[FIXED as usize - 8..]);
+        let ledger = decode_ledger(&mut r)?;
         Ok(TileHeader {
-            id: TileId::decode(&mut r)?,
-            time: TimeKey::decode(&mut r)?,
-            version: r.take_u64()?,
-            n_thickness: r.take_u64()?,
+            id,
+            time,
+            version,
             n_samples: r.take_u64()?,
+            n_thickness,
+            ledger,
         })
     }
 }
 
 /// The catalog manifest: pins the grid every tile was addressed with.
 ///
-/// Its version tracks the tile format (`SICM` v3 ↔ `SIT1` v3), so a
+/// Its version tracks the tile format (`SICM` v4 ↔ `SIT1` v4), so a
 /// build opening a store of another format fails fast at open instead
 /// of per tile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -845,45 +871,7 @@ impl Codec for CatalogManifest {
 
 impl Artifact for CatalogManifest {
     const TAG: [u8; 4] = *b"SICM";
-    const VERSION: u16 = 3;
-}
-
-/// Per-layer sidecar ledger (`ledgers/YYYYMM.ledger`, `SISL` v1): the
-/// source ids whose ingest into the layer **completed** — the fast path
-/// that lets `IngestMode::Skip` short-circuit a re-run before
-/// projecting a single point.
-///
-/// The sidecar is a cache, not ground truth: it is written (atomically)
-/// only after every tile merge of an ingest call succeeded, so a crash
-/// mid-ingest leaves the source out of the sidecar and the next ingest
-/// falls back to the per-tile ledgers, healing the partial state. Losing
-/// or deleting a sidecar costs performance, never correctness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LayerLedger {
-    /// The temporal layer this ledger covers.
-    pub time: TimeKey,
-    /// Sorted, deduplicated source ids with completed ingests.
-    pub sources: Vec<u64>,
-}
-
-impl Codec for LayerLedger {
-    fn encode(&self, w: &mut Writer) {
-        self.time.encode(w);
-        self.sources.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        let time = TimeKey::decode(r)?;
-        let sources: Vec<u64> = Vec::decode(r)?;
-        if !sources.windows(2).all(|w| w[0] < w[1]) {
-            return Err(ArtifactError::Invalid("layer ledger out of order"));
-        }
-        Ok(LayerLedger { time, sources })
-    }
-}
-
-impl Artifact for LayerLedger {
-    const TAG: [u8; 4] = *b"SISL";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 4;
 }
 
 #[cfg(test)]
@@ -986,10 +974,10 @@ mod tests {
 
         // Corrupt: swap two samples so the canonical order breaks. The
         // sample section starts after tag(4)+version(2)+id(9)+time(3)+
-        // merge counter(8)+thickness count(8)+len(8); one v3 record is
-        // 8+6*8+1+4+2*8 = 77 bytes.
+        // merge counter(8)+thickness count(8)+ledger(8+3*8)+len(8); one
+        // record is 8+6*8+1+4+2*8 = 77 bytes.
         let mut corrupt = bytes.to_vec();
-        let start = 4 + 2 + 9 + 3 + 8 + 8 + 8;
+        let start = 4 + 2 + 9 + 3 + 8 + 8 + (8 + 3 * 8) + 8;
         let (a, b) = (start, start + 77);
         let tmp: Vec<u8> = corrupt[a..a + 77].to_vec();
         corrupt.copy_within(b..b + 77, a);
@@ -1179,24 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn layer_ledger_roundtrips_and_rejects_unsorted() {
-        let ledger = LayerLedger {
-            time: TimeKey::new(2019, 11).unwrap(),
-            sources: vec![3, 17, 99],
-        };
-        let back = LayerLedger::from_bytes(&ledger.to_bytes()).unwrap();
-        assert_eq!(back, ledger);
-        let bad = LayerLedger {
-            time: ledger.time,
-            sources: vec![17, 3],
-        };
-        assert!(matches!(
-            LayerLedger::from_bytes(&bad.to_bytes()),
-            Err(ArtifactError::Invalid(_))
-        ));
-    }
-
-    #[test]
     fn source_id_is_stable_and_spread() {
         let a = SampleRecord::source_id("20191104195311_05000210", 1);
         let b = SampleRecord::source_id("20191104195311_05000210", 1);
@@ -1224,9 +1194,18 @@ mod tests {
         assert_eq!(header.version, 3);
         assert_eq!(header.n_samples, tile.samples().len() as u64);
         assert_eq!(header.n_thickness, 1);
+        assert_eq!(header.ledger, vec![1, 2, 3, 4]);
+        assert_eq!(header.ledger, tile.sources());
         // A truncated header errors rather than panics.
-        std::fs::write(&path, &tile.to_bytes()[..10]).unwrap();
+        let bytes = tile.to_bytes();
+        std::fs::write(&path, &bytes[..10]).unwrap();
         assert!(Tile::peek(&path).is_err());
+        // A ledger length running past the end of the file fails typed,
+        // before anything of the claimed length is allocated.
+        let mut long = bytes[..50].to_vec();
+        long[34..42].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        std::fs::write(&path, &long).unwrap();
+        assert!(matches!(Tile::peek(&path), Err(ArtifactError::Truncated)));
         let _ = std::fs::remove_file(&path);
     }
 

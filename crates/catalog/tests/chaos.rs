@@ -7,7 +7,7 @@
 //! hang, never a panic, never a silently wrong answer.
 //!
 //! Scripted crash plans additionally pin the recovery story: a process
-//! killed mid-tile-persist or mid-sidecar-write leaves a directory that
+//! killed mid-tile-persist leaves a directory that
 //! reopens cleanly and heals to a **byte-identical** store once the
 //! interrupted ingest re-runs.
 
@@ -482,20 +482,14 @@ fn shard_failover_degrades_typed_and_recovers() {
     }
 }
 
-/// Every `*.tile` / `*.ledger` file under `dir`, relative path → bytes.
+/// Every `*.tile` file under `dir`, relative path → bytes.
 fn store_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();
-    for sub in ["tiles", "ledgers"] {
-        let sub_dir = dir.join(sub);
-        if !sub_dir.is_dir() {
-            continue;
-        }
-        for entry in std::fs::read_dir(&sub_dir).unwrap() {
-            let path = entry.unwrap().path();
-            let name = path.file_name().unwrap().to_string_lossy().to_string();
-            if name.ends_with(".tile") || name.ends_with(".ledger") {
-                out.push((format!("{sub}/{name}"), std::fs::read(&path).unwrap()));
-            }
+    for entry in std::fs::read_dir(dir.join("tiles")).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().to_string();
+        if name.ends_with(".tile") {
+            out.push((format!("tiles/{name}"), std::fs::read(&path).unwrap()));
         }
     }
     out.sort();
@@ -521,8 +515,6 @@ fn crash_mid_persist_reopens_and_heals_byte_identically() {
     for (site, nth) in [
         (FaultPlan::TILE_BEFORE_RENAME, 2),
         (FaultPlan::TILE_AFTER_RENAME, 1),
-        (FaultPlan::LEDGER_BEFORE_RENAME, 0),
-        (FaultPlan::LEDGER_AFTER_RENAME, 1),
     ] {
         let dir = temp_dir(&format!("crash_{}", site.replace('.', "_")));
         let plan = Arc::new(FaultPlan::scripted().with(site, nth, FaultAction::Crash));
@@ -544,8 +536,7 @@ fn crash_mid_persist_reopens_and_heals_byte_identically() {
             }
         }
         assert!(crashed, "the scripted crash at {site} never fired");
-        // The dead process: its in-memory index, cache, and sidecar
-        // state are gone.
+        // The dead process: its in-memory index and cache are gone.
         drop(catalog);
 
         // Reopen (no plan) and replay the whole ingest — Skip mode makes

@@ -1,7 +1,8 @@
 //! Acceptance tests for idempotent ingest and offline compaction:
 //!
 //! - re-ingesting under `IngestMode::Skip` leaves every tile file
-//!   **byte-identical** (and the fast path touches nothing at all);
+//!   **byte-identical** (and, with every tile's ledger in the index,
+//!   reads no tile file);
 //! - re-ingesting perturbed products under `IngestMode::Replace`
 //!   converges to the same queryable state as a fresh build, bit for
 //!   bit;
@@ -22,6 +23,7 @@ use icesat_geo::{MapPoint, EPSG_3976};
 use icesat_scene::SurfaceClass;
 use seaice::artifact::ArtifactError;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
+use seaice_catalog::obs::parse_exposition;
 use seaice_catalog::{
     compact, Catalog, CatalogClient, CatalogError, CatalogOptions, CatalogServer, CompactionConfig,
     FaultAction, FaultPlan, GridConfig, IngestMode, LayerMap, MapRect, TimeKey, TimeRange,
@@ -70,18 +72,12 @@ fn build(catalog: &Catalog) {
     }
 }
 
-/// Every tile (and ledger) file in a catalog directory, bytes and all.
+/// Every tile file in a catalog directory, bytes and all.
 fn dir_bytes(dir: &std::path::Path) -> BTreeMap<PathBuf, Vec<u8>> {
     let mut out = BTreeMap::new();
-    for sub in ["tiles", "ledgers"] {
-        let sub = dir.join(sub);
-        if !sub.is_dir() {
-            continue;
-        }
-        for entry in std::fs::read_dir(&sub).unwrap() {
-            let path = entry.unwrap().path();
-            out.insert(path.clone(), std::fs::read(&path).unwrap());
-        }
+    for entry in std::fs::read_dir(dir.join("tiles")).unwrap() {
+        let path = entry.unwrap().path();
+        out.insert(path.clone(), std::fs::read(&path).unwrap());
     }
     out
 }
@@ -187,26 +183,33 @@ fn skip_reingest_is_a_byte_stable_noop() {
     assert_eq!(dir_bytes(&dir), before, "tile bytes moved on a Skip re-run");
     assert_eq!(catalog.stats().unwrap().n_samples, stats.n_samples);
 
-    // Same through a cold reopen (the sidecar fast path survives).
+    // Same through a cold reopen: open reads every tile's ledger from
+    // its header, so the re-run decides each tile from the index and
+    // reads no tile file.
     drop(catalog);
     let reopened = Catalog::open(&dir).unwrap();
+    let misses = |c: &Catalog| parse_exposition(&c.expose())["tile_cache_misses_total"];
+    let misses_before = misses(&reopened);
     let report = reopened
-        .ingest_beam("20190915010203_05000210", 0, &product)
-        .unwrap();
-    assert_eq!(report.n_skipped, 400);
-    assert_eq!(dir_bytes(&dir), before);
-    assert_eq!(battery(&reopened), battery_before);
-
-    // A partial previous ingest heals: wipe the sidecar ledgers so the
-    // fast path goes cold — the per-tile ledgers still skip everything.
-    std::fs::remove_dir_all(dir.join("ledgers")).unwrap();
-    let healed = Catalog::open(&dir).unwrap();
-    let report = healed
         .ingest_beam("20190915010203_05000210", 0, &product)
         .unwrap();
     assert_eq!(report.n_samples, 0);
     assert_eq!(report.n_skipped, 400);
-    assert_eq!(battery(&healed), battery_before);
+    assert_eq!(
+        misses(&reopened),
+        misses_before,
+        "a Skip re-run read a tile"
+    );
+    assert_eq!(dir_bytes(&dir), before);
+    assert_eq!(battery(&reopened), battery_before);
+
+    // The ledgers live in the tiles: the directory holds nothing else.
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["catalog.manifest", "tiles"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -228,9 +231,9 @@ fn fresh_build(tag: &str, perturbed: &FreeboardProduct) -> (Catalog, PathBuf) {
     (fresh, dir)
 }
 
-/// Shifted `Replace`s converge to a fresh build whether the tiles'
-/// ledgers are known to the index (learned in this process) or not yet
-/// (a catalog just reopened).
+/// Shifted `Replace`s converge to a fresh build whether the index
+/// learned the tiles' ledgers by publishing them in this process or
+/// read them from the tile headers (a catalog just reopened).
 #[test]
 fn replace_reingest_converges_to_fresh_build() {
     // Perturb one source: shifted track (crosses different tiles) and
@@ -244,7 +247,7 @@ fn replace_reingest_converges_to_fresh_build() {
         let mut catalog = Catalog::create(&dir, grid()).unwrap();
         build(&catalog);
         if reopen {
-            // Cold: every tile's ledger is unknown to the new index.
+            // Cold: the new index read every ledger from a header.
             drop(catalog);
             catalog = Catalog::open(&dir).unwrap();
         }
@@ -281,8 +284,7 @@ fn replace_reingest_converges_to_fresh_build() {
         assert_eq!(again.n_replaced, again.n_samples);
         assert_eq!(battery(&catalog), battery(&fresh));
 
-        // Warm: shift the same source again in this process, with every
-        // ledger now known to the index.
+        // Warm: shift the same source again in this process.
         let report = catalog
             .ingest_beam_with(
                 "20190915010203_05000210",
@@ -397,8 +399,8 @@ fn identity_compaction_is_bit_identical() {
     assert_eq!(battery(&dst), battery_src, "identity compaction moved bits");
     dst.validate().unwrap();
 
-    // The compacted catalog still skips completed sources (sidecars
-    // carried over).
+    // The compacted catalog still skips completed sources (the tile
+    // ledgers carried over).
     let product = line_product(400, -304_000.0, -1_304_000.0, 19.0, 10.0, 0.2);
     let r = dst
         .ingest_beam("20190915010203_05000210", 0, &product)
@@ -558,43 +560,6 @@ fn retention_drops_samples_but_preserves_composites() {
     let _ = std::fs::remove_dir_all(&dst_dir);
 }
 
-/// Sidecar ledgers are a cache: a truncated or corrupt one must not
-/// fail the open — the per-tile ledgers still skip everything, and the
-/// next completed ingest rewrites the sidecar.
-#[test]
-fn corrupt_sidecar_ledger_is_ignored_not_fatal() {
-    let dir = temp_dir("corrupt_sidecar");
-    let catalog = Catalog::create(&dir, grid()).unwrap();
-    build(&catalog);
-    let battery_before = battery(&catalog);
-    drop(catalog);
-
-    let ledger_path = dir.join("ledgers").join("201909.ledger");
-    let bytes = std::fs::read(&ledger_path).unwrap();
-    std::fs::write(&ledger_path, &bytes[..bytes.len() / 2]).unwrap();
-
-    let reopened = Catalog::open(&dir).unwrap();
-    assert_eq!(battery(&reopened), battery_before);
-    // The fast path is cold for that layer, but per-tile ledgers still
-    // make the re-run a no-op…
-    let product = line_product(400, -304_000.0, -1_304_000.0, 19.0, 10.0, 0.2);
-    let r = reopened
-        .ingest_beam("20190915010203_05000210", 0, &product)
-        .unwrap();
-    assert_eq!(r.n_samples, 0);
-    assert_eq!(r.n_skipped, 400);
-    // …and the completed ingest rewrote a valid sidecar.
-    drop(reopened);
-    let healed = Catalog::open(&dir).unwrap();
-    assert!(healed
-        .layer_ledger(TimeKey::new(2019, 9).unwrap())
-        .contains(&seaice_catalog::SampleRecord::source_id(
-            "20190915010203_05000210",
-            0
-        )));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A synthetic thickness-enriched beam on a map-space line, mirroring
 /// what [`seaice_products::enrich_fleet`] emits: ice samples carry
 /// `(thickness, sigma > 0)`, open water carries zeros.
@@ -721,7 +686,7 @@ fn other_format_versions_fail_open_typed() {
         .unwrap()
         .path();
     let manifest = dir.join("catalog.manifest");
-    for (path, version) in [(&tile, 2u16), (&tile, 4), (&manifest, 2), (&manifest, 4)] {
+    for (path, version) in [(&tile, 3u16), (&tile, 5), (&manifest, 3), (&manifest, 5)] {
         let original = std::fs::read(path).unwrap();
         let mut patched = original.clone();
         // Every artifact starts tag(4) | u16 format version.

@@ -49,6 +49,7 @@
 //!   situation into [`CatalogError::Degraded`].
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,6 +57,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use icesat_geo::{BoundingBox, GeoPoint, EPSG_3976};
+use seaice::artifact::Artifact;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_obs::{next_trace_id, Counter, Histogram, MetricRegistry, Trace, TraceLog, TraceReport};
 
@@ -63,7 +65,7 @@ use crate::fault::splitmix64;
 use crate::grid::{GridConfig, MapRect, TileScope, TimeKey, TimeRange};
 use crate::server::ServerStats;
 use crate::store::{CatalogStats, CellSummary, IngestMode, IngestReport, QuerySummary};
-use crate::wire::{self, unexpected, Records, Request, Response};
+use crate::wire::{self, unexpected, FrameReader, Records, Request, Response};
 use crate::CatalogError;
 use seaice_products::BeamThickness;
 
@@ -100,7 +102,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// No retries: one attempt, fail on the first transport error (the
-    /// default — identical to the pre-resilience client).
+    /// default).
     pub fn none() -> RetryPolicy {
         RetryPolicy { max_attempts: 1 }
     }
@@ -247,8 +249,6 @@ struct Mux {
 
 impl Mux {
     fn alloc_id(&mut self) -> u64 {
-        // Ids start at 1: id 0 is the unmultiplexed sentinel the
-        // manifest handshake uses.
         self.next_id += 1;
         self.next_id
     }
@@ -307,6 +307,13 @@ impl<T> Finish<T> {
     }
 }
 
+fn manifest(response: Response) -> Result<GridConfig, CatalogError> {
+    match response {
+        Response::Manifest(grid) => Ok(grid),
+        other => Err(unexpected(&other)),
+    }
+}
+
 fn pong(response: Response) -> Result<ServerStats, CatalogError> {
     match response {
         Response::Pong(stats) => Ok(stats),
@@ -358,9 +365,11 @@ fn ingested(response: Response) -> Result<IngestReport, CatalogError> {
 /// ```
 pub struct CatalogClient {
     addr: String,
-    /// `None` between a transport failure and the next attempt's
-    /// reconnect.
-    stream: Option<TcpStream>,
+    /// The socket and the reader that parses its frames. `None`
+    /// between a transport failure and the next attempt's reconnect;
+    /// the two are dropped together, so bytes buffered from a dead
+    /// connection are never parsed as part of the next.
+    conn: Option<(TcpStream, FrameReader)>,
     /// `None` only before the first successful handshake.
     grid: Option<GridConfig>,
     config: ClientConfig,
@@ -389,7 +398,7 @@ impl CatalogClient {
         let metrics = ClientMetrics::new(&config.registry);
         let mut client = CatalogClient {
             addr: addr.to_string(),
-            stream: None,
+            conn: None,
             grid: None,
             config,
             metrics,
@@ -459,7 +468,7 @@ impl CatalogClient {
     /// Runs `f` against a connected client, reconnecting and retrying
     /// on transport-class failures per the [`RetryPolicy`]. With
     /// retries exhausted, fails typed: the raw error when only one
-    /// attempt was allowed (pre-resilience behaviour), otherwise
+    /// attempt was allowed, otherwise
     /// [`CatalogError::RetriesExhausted`].
     ///
     /// `f` receives the trace id to carry in its request frame: 0
@@ -541,10 +550,10 @@ impl CatalogClient {
         }
     }
 
-    /// Drops the stream and fails every in-flight pipelined request
+    /// Drops the connection and fails every in-flight pipelined request
     /// typed: later waits on their handles report `why`.
     fn poison_connection(&mut self, why: &str) {
-        self.stream = None;
+        self.conn = None;
         if !self.mux.pending.is_empty() {
             self.mux.pending.clear();
             self.mux.poisoned = Some(why.to_string());
@@ -564,10 +573,10 @@ impl CatalogClient {
     /// by one serving different data is a misconfiguration, not
     /// something to paper over.
     fn ensure_connected(&mut self) -> Result<(), CatalogError> {
-        if self.stream.is_some() {
+        if self.conn.is_some() {
             return Ok(());
         }
-        let mut stream = match self.config.connect_timeout {
+        let stream = match self.config.connect_timeout {
             Some(timeout) => {
                 let mut last: Option<std::io::Error> = None;
                 let mut connected = None;
@@ -596,56 +605,28 @@ impl CatalogClient {
         // deadline; writes get the whole deadline budget outright.
         let _ = stream.set_read_timeout(Some(READ_TICK));
         let _ = stream.set_write_timeout(self.config.request_deadline);
-        // Handshake on the local stream; it is only stored (making the
-        // connection visible to submits) once the handshake succeeds.
+        // The handshake is the connection's first exchange, on the same
+        // path as every other; a connection whose handshake fails is
+        // dropped, so no submit ever runs on it.
+        self.conn = Some((stream, FrameReader::default()));
         let deadline = self.deadline();
-        let handshake = (|| {
-            wire::write_message(&mut stream, &Request::Manifest)?;
-            match Self::read_response(&mut stream, deadline)? {
-                Response::Manifest(grid) => Ok(grid),
-                other => Err(unexpected(&other)),
-            }
-        })();
+        let handshake = self
+            .submit_with(&Request::Manifest, 0, Finish::Scalar(manifest))
+            .and_then(|pending| self.wait_deadline(pending, deadline))
+            .and_then(|grid| match self.grid {
+                Some(prev) if prev != grid => Err(CatalogError::Protocol(
+                    "server grid changed across a reconnect".into(),
+                )),
+                _ => Ok(grid),
+            });
         match handshake {
             Ok(grid) => {
-                if self.grid.is_some_and(|prev| prev != grid) {
-                    return Err(CatalogError::Protocol(
-                        "server grid changed across a reconnect".into(),
-                    ));
-                }
                 self.grid = Some(grid);
-                self.stream = Some(stream);
                 Ok(())
             }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Reads one response frame (ignoring its mux ids — used only for
-    /// the handshake, the sole exchange on a fresh connection),
-    /// honouring the deadline; maps error frames to
-    /// [`CatalogError::Remote`] and deadline expiry to
-    /// [`CatalogError::Timeout`].
-    fn read_response(stream: &mut TcpStream, deadline: Deadline) -> Result<Response, CatalogError> {
-        match wire::read_frame_cancellable(stream, || deadline.expired())? {
-            Some(frame) => {
-                match <Response as seaice::artifact::Artifact>::from_bytes(&frame.payload)? {
-                    Response::Error { code, message } => {
-                        Err(CatalogError::Remote { code, message })
-                    }
-                    response => Ok(response),
-                }
-            }
-            None => {
-                if deadline.expired() {
-                    Err(CatalogError::Timeout {
-                        after: deadline.budget,
-                    })
-                } else {
-                    Err(CatalogError::Protocol(
-                        "server closed the connection mid-exchange".into(),
-                    ))
-                }
+            Err(e) => {
+                self.conn = None;
+                Err(e)
             }
         }
     }
@@ -665,17 +646,18 @@ impl CatalogClient {
     ) -> Result<Pending<T>, CatalogError> {
         self.ensure_connected()?;
         let id = self.mux.alloc_id();
-        let Some(stream) = self.stream.as_mut() else {
+        let Some((stream, _)) = self.conn.as_mut() else {
             return Err(CatalogError::Protocol(
                 "connection vanished between connect and submit".into(),
             ));
         };
-        if let Err(e) = wire::write_message_mux(stream, request, id, trace_id) {
+        let frame = wire::encode_frame(&request.to_bytes(), id, trace_id)?;
+        if let Err(e) = stream.write_all(&frame) {
             self.poison_connection(
                 "a pipelined submit failed mid-write; the connection and every request \
                  in flight on it are lost",
             );
-            return Err(e);
+            return Err(e.into());
         }
         self.mux.pending.insert(id, Slot::default());
         Ok(Pending { id, finish })
@@ -753,14 +735,14 @@ impl CatalogClient {
                 }
                 Some(_) => {}
             }
-            let Some(stream) = self.stream.as_mut() else {
+            let Some((stream, reader)) = self.conn.as_mut() else {
                 let why = "connection lost with pipelined requests in flight; re-submit on a \
                      fresh connection"
                     .to_string();
                 self.poison_connection(&why);
                 return Err(CatalogError::Protocol(why));
             };
-            match wire::read_frame_cancellable(stream, || deadline.expired()) {
+            match reader.read(stream, || deadline.expired()) {
                 Ok(Some(frame)) => {
                     if let Err(e) = self.dispatch_frame(frame) {
                         self.poison_connection(
@@ -801,7 +783,7 @@ impl CatalogClient {
     /// id that is not in flight is a protocol violation (the stream
     /// cannot be trusted).
     fn dispatch_frame(&mut self, frame: wire::Frame) -> Result<(), CatalogError> {
-        let response = <Response as seaice::artifact::Artifact>::from_bytes(&frame.payload)?;
+        let response = Response::from_bytes(&frame.payload)?;
         let Some(slot) = self.mux.pending.get_mut(&frame.request_id) else {
             return Err(CatalogError::Protocol(format!(
                 "response frame for request id {} which is not in flight",
@@ -1089,19 +1071,6 @@ impl CatalogClient {
             product: product.clone(),
         };
         self.submit_traced(&request, Finish::Scalar(ingested))
-    }
-
-    /// Pipelined [`CatalogClient::ingest_thickness_beam_with`].
-    pub fn submit_ingest_thickness(
-        &mut self,
-        beam: &BeamThickness,
-        mode: IngestMode,
-    ) -> Result<Pending<IngestReport>, CatalogError> {
-        let beam = beam.clone();
-        self.submit_traced(
-            &Request::IngestThickness { mode, beam },
-            Finish::Scalar(ingested),
-        )
     }
 }
 
@@ -1650,20 +1619,6 @@ impl ShardRouter {
     /// clients via [`RouterConfig::client`]).
     pub fn registry(&self) -> &MetricRegistry {
         &self.config.client.registry
-    }
-
-    /// Breaker state of every replica, grouped by scope in shard-map
-    /// order — observability for operators and the chaos suite.
-    pub fn replica_states(&self) -> Vec<Vec<(String, BreakerState)>> {
-        self.groups
-            .iter()
-            .map(|g| {
-                g.replicas
-                    .iter()
-                    .map(|r| (r.addr.clone(), r.breaker.state()))
-                    .collect()
-            })
-            .collect()
     }
 
     /// Runs the request against the replicas of group `gi` with the

@@ -12,8 +12,7 @@
 //! completion order — so responses to pipelined requests may return
 //! **out of order** and streamed batches of different requests
 //! **interleave**, each frame carrying the request id that routes it
-//! (protocol v2, `docs/PROTOCOL.md`). A connection that never
-//! pipelines observes exactly the one-exchange-at-a-time v1 behaviour.
+//! (protocol v2, `docs/PROTOCOL.md`).
 //!
 //! Every query-path request goes through one dispatch arm:
 //! [`Catalog::execute`] answers it as [`crate::wire::Records`] and the
@@ -60,10 +59,6 @@ const DEFAULT_WORKERS: usize = 4;
 
 /// Traced-request reports retained for `Introspect` scrapes.
 const TRACE_LOG_CAP: usize = 32;
-
-/// Read chunk per readable event; the read loop drains the socket, so
-/// this only bounds the per-syscall transfer.
-const READ_CHUNK: usize = 64 * 1024;
 
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
@@ -594,7 +589,9 @@ fn accept_ready(
 /// frame: valid frames become worker jobs (or duplicate-id error
 /// frames); frame-level violations close the connection.
 fn read_ready(conn: &mut Conn, shared: &Shared, counters: &Counters) -> Result<(), Close> {
-    let mut chunk = [0u8; READ_CHUNK];
+    // The read loop drains the socket, so the chunk only bounds the
+    // per-syscall transfer.
+    let mut chunk = [0u8; wire::READ_CHUNK];
     let mut saw_eof = false;
     loop {
         match conn.stream.read(&mut chunk) {

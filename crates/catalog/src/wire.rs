@@ -32,8 +32,7 @@
 //!   ([`Request::IngestSamples`] / [`Request::IngestThickness`] /
 //!   [`Response::Ingested`]), so both message versions were bumped
 //!   together — a v2 peer fails the version check instead of
-//!   mis-framing the longer header. (Version 2 was the thickness
-//!   revision; version 1 pre-dated thickness.)
+//!   mis-framing the longer header.
 //! - **Exchange**: one request, then one or more response frames
 //!   carrying its request id. Streamed record responses (tile
 //!   partials, layer partials, cell summaries) arrive as batch frames
@@ -42,12 +41,15 @@
 //!   Errors arrive as [`Response::Error`] frames and terminate the
 //!   exchange. **Ordering contract**: frames of one exchange arrive in
 //!   order; frames of different exchanges may interleave arbitrarily,
-//!   and exchanges complete in any order. A client that never
-//!   pipelines (at most one id in flight) observes exactly the v1
-//!   behaviour.
+//!   and exchanges complete in any order.
+//!
+//! Both ends build every frame with [`encode_frame`] and parse every
+//! frame with [`try_extract_frame`]: the server over its
+//! per-connection read buffers, the client through a [`FrameReader`]
+//! on its socket. No other code reads or writes a frame header.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
+use std::io::Read;
 
 use icesat_geo::{BoundingBox, GeoPoint, EPSG_3976};
 use seaice::artifact::{Artifact, ArtifactError, Codec, Reader, Writer};
@@ -102,8 +104,7 @@ pub const FRAME_HEADER_BYTES: usize = 28;
 pub struct Frame {
     /// The artifact-framed message bytes.
     pub payload: Vec<u8>,
-    /// Multiplexing key: which in-flight request this frame belongs to
-    /// (0 on pre-mux exchanges like the sync handshake).
+    /// Multiplexing key: which in-flight request this frame belongs to.
     pub request_id: u64,
     /// Distributed-tracing id (0 = untraced).
     pub trace_id: u64,
@@ -152,15 +153,13 @@ fn le_u64(buf: &[u8], off: usize) -> Result<u64, CatalogError> {
     Ok(u64::from_le_bytes(bytes))
 }
 
-/// Writes one untraced, unmultiplexed frame (both ids 0):
-/// [`write_frame_mux`].
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), CatalogError> {
-    write_frame_mux(w, payload, 0, 0)
-}
-
-/// Encodes one frame (header + payload) into a byte vector — the
-/// building block the event-loop server queues into per-connection
-/// write buffers. Same cap/typed-error contract as [`write_frame_mux`].
+/// Encodes one frame (header + payload) into a byte vector: the only
+/// code that builds a frame header, for the server's per-connection
+/// write buffers and the client's socket writes alike. `request_id` is
+/// the multiplexing key and `trace_id` is 0 when untraced. An oversized
+/// payload is a typed [`CatalogError::Protocol`] error before anything
+/// reaches a socket: writing it would poison the connection, because
+/// the peer rejects the length prefix and drops the stream.
 pub fn encode_frame(
     payload: &[u8],
     request_id: u64,
@@ -179,80 +178,6 @@ pub fn encode_frame(
     out.extend_from_slice(&trace_id.to_le_bytes());
     out.extend_from_slice(payload);
     Ok(out)
-}
-
-/// Writes one length-prefixed, checksummed frame carrying `request_id`
-/// (the multiplexing key; 0 on unmultiplexed exchanges) and `trace_id`
-/// (0 = untraced). An oversized payload is a typed
-/// [`CatalogError::Protocol`] error *before* anything hits the socket
-/// — writing it would poison the connection, because the peer rejects
-/// the length prefix and drops the stream mid-exchange.
-pub fn write_frame_mux(
-    w: &mut impl Write,
-    payload: &[u8],
-    request_id: u64,
-    trace_id: u64,
-) -> Result<(), CatalogError> {
-    let frame = encode_frame(payload, request_id, trace_id)?;
-    w.write_all(&frame).map_err(CatalogError::Io)
-}
-
-/// Reads one length-prefixed frame, blocking, discarding the ids.
-/// `Ok(None)` is a clean end-of-stream at a frame boundary; EOF inside
-/// a frame, an oversized length, or I/O failure are errors.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, CatalogError> {
-    Ok(read_frame_cancellable(r, || false)?.map(|f| f.payload))
-}
-
-/// [`read_frame`] for sockets with a read timeout: on a timeout that
-/// lands *between* frames, `should_stop` decides whether to keep
-/// waiting (`false`) or end the stream cleanly (`true`). A timeout
-/// inside a frame keeps reading (the peer is mid-send) unless
-/// `should_stop` asks to abandon the connection. Returns the full
-/// [`Frame`] (payload + request id + trace id).
-pub fn read_frame_cancellable(
-    r: &mut impl Read,
-    mut should_stop: impl FnMut() -> bool,
-) -> Result<Option<Frame>, CatalogError> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    match read_full(r, &mut header, &mut should_stop)? {
-        ReadOutcome::Complete => {}
-        ReadOutcome::CleanEof | ReadOutcome::Stopped => return Ok(None),
-        ReadOutcome::TruncatedEof => {
-            return Err(CatalogError::Protocol(
-                "connection closed mid-header".into(),
-            ))
-        }
-    }
-    let len = le_u32(&header, 0)? as usize;
-    let expected = le_u64(&header, 4)?;
-    let request_id = le_u64(&header, 12)?;
-    let trace_id = le_u64(&header, 20)?;
-    if len > MAX_FRAME_BYTES {
-        return Err(CatalogError::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    match read_full(r, &mut payload, &mut should_stop)? {
-        ReadOutcome::Complete => {}
-        ReadOutcome::Stopped => return Ok(None),
-        ReadOutcome::CleanEof | ReadOutcome::TruncatedEof => {
-            return Err(CatalogError::Protocol("connection closed mid-frame".into()))
-        }
-    }
-    let got = frame_checksum(request_id, trace_id, &payload);
-    if got != expected {
-        return Err(CatalogError::Protocol(format!(
-            "frame checksum mismatch (header {expected:#018x}, payload {got:#018x}): \
-             corrupted stream"
-        )));
-    }
-    Ok(Some(Frame {
-        payload,
-        request_id,
-        trace_id,
-    }))
 }
 
 /// Extracts one complete frame from the front of an accumulation
@@ -303,66 +228,67 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, CatalogEr
     )))
 }
 
-enum ReadOutcome {
-    Complete,
-    /// EOF before the first byte of this read.
-    CleanEof,
-    /// EOF after some bytes.
-    TruncatedEof,
-    /// `should_stop` asked to abandon the wait.
-    Stopped,
+/// Bytes a socket read asks for at least, on both ends: the server's
+/// per-event chunk and a [`FrameReader`]'s spare room.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+/// Blocking frame reader for one stream: [`try_extract_frame`] over a
+/// buffer it fills from the stream. Bytes read past the end of a frame
+/// stay buffered for the next call, so a reader belongs to exactly one
+/// stream and must be dropped with it.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` that came from the stream; the rest
+    /// is read space, zeroed once when the buffer grows.
+    filled: usize,
 }
 
-/// Fills `buf`, retrying timeout errors, consulting `should_stop` on
-/// each timeout tick.
-fn read_full(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    should_stop: &mut impl FnMut() -> bool,
-) -> Result<ReadOutcome, CatalogError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::CleanEof
-                } else {
-                    ReadOutcome::TruncatedEof
-                })
+impl FrameReader {
+    /// Reads the next frame from `r`, blocking. `Ok(None)` is a clean
+    /// end-of-stream at a frame boundary, or `should_stop` returning
+    /// true on a read-timeout tick; otherwise a timeout keeps reading,
+    /// inside a frame too (the peer is mid-send). EOF inside a frame is
+    /// a typed [`CatalogError::Protocol`] error, as is every frame-level
+    /// violation [`try_extract_frame`] reports.
+    pub fn read(
+        &mut self,
+        r: &mut impl Read,
+        mut should_stop: impl FnMut() -> bool,
+    ) -> Result<Option<Frame>, CatalogError> {
+        loop {
+            if let Some((frame, used)) = try_extract_frame(&self.buf[..self.filled])? {
+                self.buf.copy_within(used..self.filled, 0);
+                self.filled -= used;
+                return Ok(Some(frame));
             }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if should_stop() {
-                    return Ok(ReadOutcome::Stopped);
+            if self.buf.len() < self.filled + READ_CHUNK {
+                self.buf.resize(self.filled + READ_CHUNK, 0);
+            }
+            match r.read(&mut self.buf[self.filled..]) {
+                Ok(0) if self.filled == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(CatalogError::Protocol(format!(
+                        "connection closed {} bytes into a frame",
+                        self.filled
+                    )))
                 }
+                Ok(n) => self.filled += n,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if should_stop() {
+                        return Ok(None);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(CatalogError::Io(e)),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(CatalogError::Io(e)),
         }
     }
-    Ok(ReadOutcome::Complete)
-}
-
-/// Frames and writes one artifact-framed message (oversized messages
-/// fail typed, see [`write_frame`]).
-pub fn write_message<M: Artifact>(w: &mut impl Write, message: &M) -> Result<(), CatalogError> {
-    write_frame(w, &message.to_bytes())
-}
-
-/// [`write_message`] carrying both a request id and a trace id — the
-/// multiplexed send both ends of protocol v2 use.
-pub fn write_message_mux<M: Artifact>(
-    w: &mut impl Write,
-    message: &M,
-    request_id: u64,
-    trace_id: u64,
-) -> Result<(), CatalogError> {
-    write_frame_mux(w, &message.to_bytes(), request_id, trace_id)
 }
 
 /// Splits `records` into batch index ranges respecting both the record
@@ -397,14 +323,6 @@ pub fn batch_ranges<T: Codec>(
         ranges.push(start..records.len());
     }
     ranges
-}
-
-/// Reads and decodes one message; `Ok(None)` at clean end-of-stream.
-pub fn read_message<M: Artifact>(r: &mut impl Read) -> Result<Option<M>, CatalogError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(payload) => Ok(Some(M::from_bytes(&payload)?)),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1220,14 +1138,33 @@ mod tests {
         }
     }
 
+    /// `message` as one frame carrying both ids.
+    fn framed<M: Artifact>(message: &M, request_id: u64, trace_id: u64) -> Vec<u8> {
+        encode_frame(&message.to_bytes(), request_id, trace_id).unwrap()
+    }
+
+    /// The first frame of `bytes`, read through a fresh [`FrameReader`].
+    fn read_one(bytes: &[u8]) -> Result<Option<Frame>, CatalogError> {
+        FrameReader::default().read(&mut &bytes[..], || false)
+    }
+
+    /// [`read_one`], decoded as an `M`.
+    fn read_msg<M: Artifact>(bytes: &[u8]) -> Result<Option<M>, CatalogError> {
+        match read_one(bytes)? {
+            None => Ok(None),
+            Some(frame) => Ok(Some(M::from_bytes(&frame.payload)?)),
+        }
+    }
+
     fn roundtrip<M: Artifact + PartialEq + std::fmt::Debug>(m: &M) {
-        let mut buf: Vec<u8> = Vec::new();
-        write_message(&mut buf, m).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let back: M = read_message(&mut cursor).unwrap().expect("one message");
+        let bytes = framed(m, 0, 0);
+        let mut stream = &bytes[..];
+        let mut reader = FrameReader::default();
+        let frame = reader.read(&mut stream, || false).unwrap();
+        let back = M::from_bytes(&frame.expect("one message").payload).unwrap();
         assert_eq!(&back, m);
         assert!(
-            matches!(read_message::<M>(&mut cursor), Ok(None)),
+            matches!(reader.read(&mut stream, || false), Ok(None)),
             "clean EOF"
         );
     }
@@ -1348,18 +1285,13 @@ mod tests {
     #[test]
     fn mux_frames_carry_and_checksum_both_ids() {
         let message = Request::Ping;
-        let mut buf = Vec::new();
-        write_message_mux(&mut buf, &message, 41, 0xDEAD_BEEF_CAFE_F00D).unwrap();
-        let frame = read_frame_cancellable(&mut std::io::Cursor::new(buf.clone()), || false)
-            .unwrap()
-            .expect("one frame");
+        let buf = framed(&message, 41, 0xDEAD_BEEF_CAFE_F00D);
+        let frame = read_one(&buf).unwrap().expect("one frame");
         assert_eq!(frame.request_id, 41);
         assert_eq!(frame.trace_id, 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(Request::from_bytes(&frame.payload).unwrap(), message);
-        // An unmultiplexed, untraced write reads back with both ids 0.
-        let mut plain = Vec::new();
-        write_message(&mut plain, &message).unwrap();
-        let f = read_frame_cancellable(&mut std::io::Cursor::new(plain), || false)
+        // An untraced frame with request id 0 reads back with both ids 0.
+        let f = read_one(&framed(&message, 0, 0))
             .unwrap()
             .expect("one frame");
         assert_eq!((f.request_id, f.trace_id), (0, 0));
@@ -1372,7 +1304,7 @@ mod tests {
                 let mut corrupt = buf.clone();
                 corrupt[byte] ^= 1 << bit;
                 assert!(
-                    read_frame(&mut std::io::Cursor::new(corrupt)).is_err(),
+                    read_one(&corrupt).is_err(),
                     "header-id flip byte {byte} bit {bit} went undetected"
                 );
             }
@@ -1381,9 +1313,8 @@ mod tests {
 
     #[test]
     fn try_extract_frame_handles_partial_and_hostile_buffers() {
-        let mut buf = Vec::new();
-        write_message_mux(&mut buf, &Request::Ping, 7, 9).unwrap();
-        write_message_mux(&mut buf, &Request::Manifest, 8, 0).unwrap();
+        let mut buf = framed(&Request::Ping, 7, 9);
+        buf.extend(framed(&Request::Manifest, 8, 0));
         // Every strict prefix short of the first frame is incomplete.
         let first_len = {
             let (frame, consumed) = try_extract_frame(&buf).unwrap().expect("complete frame");
@@ -1409,6 +1340,115 @@ mod tests {
         let mut corrupt = buf.clone();
         corrupt[FRAME_HEADER_BYTES] ^= 0x10;
         assert!(try_extract_frame(&corrupt).is_err());
+    }
+
+    /// A stream that yields one byte per read, with a timeout
+    /// (`WouldBlock` and `TimedOut` in turn) before every byte and
+    /// before its final EOF.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        reads: usize,
+    }
+
+    impl Trickle {
+        fn new(bytes: &[u8]) -> Trickle {
+            Trickle {
+                bytes: bytes.to_vec(),
+                at: 0,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            match self.reads % 4 {
+                1 => return Err(std::io::ErrorKind::WouldBlock.into()),
+                3 => return Err(std::io::ErrorKind::TimedOut.into()),
+                _ => {}
+            }
+            let Some(&byte) = self.bytes.get(self.at) else {
+                return Ok(0);
+            };
+            out[0] = byte;
+            self.at += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn frame_reader_reads_what_try_extract_frame_extracts_from_a_trickle() {
+        let mut bytes = framed(&Request::Ping, 7, 9);
+        bytes.extend(framed(&Response::TileBatch(vec![partial(); 2]), 8, 0));
+        // The frames the server's parser finds in the whole buffer.
+        let mut expected = Vec::new();
+        let mut at = 0;
+        while let Some((frame, used)) = try_extract_frame(&bytes[at..]).unwrap() {
+            expected.push(frame);
+            at += used;
+        }
+        assert_eq!((expected.len(), at), (2, bytes.len()));
+
+        let mut stream = Trickle::new(&bytes);
+        let mut reader = FrameReader::default();
+        let mut ticks = 0usize;
+        let mut got = Vec::new();
+        while let Some(frame) = reader
+            .read(&mut stream, || {
+                ticks += 1;
+                false
+            })
+            .unwrap()
+        {
+            got.push(frame);
+        }
+        assert_eq!(got, expected);
+        assert_eq!(
+            ticks,
+            bytes.len() + 1,
+            "every timeout tick asks should_stop"
+        );
+        // One read returns both frames: the second waits in the buffer.
+        let mut whole = &bytes[..];
+        let mut reader = FrameReader::default();
+        let got: Vec<Frame> =
+            std::iter::from_fn(|| reader.read(&mut whole, || false).unwrap()).collect();
+        assert_eq!(got, expected);
+
+        // `should_stop` ends the wait cleanly on a tick, mid-frame too.
+        let mut stream = Trickle::new(&bytes[..10]);
+        let mut ticks = 0usize;
+        let stopped = FrameReader::default().read(&mut stream, || {
+            ticks += 1;
+            ticks == 5
+        });
+        assert!(matches!(stopped, Ok(None)));
+        assert_eq!(stream.at, 4, "stopped on the tick after the fourth byte");
+
+        // EOF mid-header and mid-payload are typed errors.
+        for cut in [FRAME_HEADER_BYTES / 2, FRAME_HEADER_BYTES + 1] {
+            let mut stream = Trickle::new(&bytes[..cut]);
+            assert!(
+                matches!(
+                    FrameReader::default().read(&mut stream, || false),
+                    Err(CatalogError::Protocol(_))
+                ),
+                "EOF after {cut} bytes"
+            );
+        }
+
+        // A length prefix over the cap is refused once its 4 bytes are
+        // in, without reading the rest of the header.
+        let mut hostile = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes().to_vec();
+        hostile.extend([0u8; FRAME_HEADER_BYTES]);
+        let mut stream = Trickle::new(&hostile);
+        assert!(matches!(
+            FrameReader::default().read(&mut stream, || false),
+            Err(CatalogError::Protocol(_))
+        ));
+        assert_eq!(stream.at, 4);
     }
 
     fn cell() -> CellSummary {
@@ -1494,18 +1534,15 @@ mod tests {
     #[test]
     fn every_single_bit_flip_is_detected() {
         let message = Response::TileBatch(vec![partial(), partial()]);
-        let mut clean = Vec::new();
-        write_message(&mut clean, &message).unwrap();
-        let back: Response = read_message(&mut std::io::Cursor::new(clean.clone()))
-            .unwrap()
-            .expect("clean frame reads back");
+        let clean = framed(&message, 0, 0);
+        let back: Response = read_msg(&clean).unwrap().expect("clean frame reads back");
         assert_eq!(back, message);
         for byte in 0..clean.len() {
             for bit in 0..8 {
                 let mut corrupt = clean.clone();
                 corrupt[byte] ^= 1 << bit;
                 assert!(
-                    read_message::<Response>(&mut std::io::Cursor::new(corrupt)).is_err(),
+                    read_msg::<Response>(&corrupt).is_err(),
                     "flip of byte {byte} bit {bit} went undetected"
                 );
             }
@@ -1517,9 +1554,15 @@ mod tests {
     /// payload is a typed protocol error, not a poisoned connection.
     #[test]
     fn oversized_frame_write_fails_typed_before_touching_the_stream() {
+        use std::io::Write;
+        // The client's write: encode, then write the frame whole.
+        let write = |sink: &mut Vec<u8>, payload: &[u8]| {
+            let frame = encode_frame(payload, 0, 0)?;
+            sink.write_all(&frame).map_err(CatalogError::Io)
+        };
         let payload = vec![0u8; MAX_FRAME_BYTES + 1];
         let mut sink: Vec<u8> = Vec::new();
-        match write_frame(&mut sink, &payload) {
+        match write(&mut sink, &payload) {
             Err(CatalogError::Protocol(_)) => {}
             other => panic!("expected a typed protocol error, got {other:?}"),
         }
@@ -1530,7 +1573,7 @@ mod tests {
             message: "x".repeat(MAX_FRAME_BYTES),
         };
         assert!(matches!(
-            write_message(&mut sink, &message),
+            write(&mut sink, &message.to_bytes()),
             Err(CatalogError::Protocol(_))
         ));
         assert!(sink.is_empty());
@@ -1564,11 +1607,8 @@ mod tests {
             let frame = Response::TileBatch(records[range.clone()].to_vec()).to_bytes();
             assert!(frame.len() <= MAX_FRAME_BYTES, "batch frame over the cap");
             // Round-trips like any other frame.
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &frame).unwrap();
-            assert!(read_frame(&mut std::io::Cursor::new(buf))
-                .unwrap()
-                .is_some());
+            let buf = encode_frame(&frame, 0, 0).unwrap();
+            assert!(read_one(&buf).unwrap().is_some());
         }
         assert_eq!(covered, records.len(), "every record travels");
         // The record cap still bites when it is the tighter bound.
@@ -1585,22 +1625,18 @@ mod tests {
         // Oversized length prefix.
         let mut buf = Vec::new();
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(buf)),
-            Err(CatalogError::Protocol(_))
-        ));
+        assert!(matches!(read_one(&buf), Err(CatalogError::Protocol(_))));
         // Truncated header.
-        assert!(read_frame(&mut std::io::Cursor::new(vec![1u8, 0])).is_err());
+        assert!(read_one(&[1u8, 0]).is_err());
         // Truncated payload.
         let mut buf = Vec::new();
         buf.extend_from_slice(&8u32.to_le_bytes());
         buf.extend_from_slice(&[1, 2, 3]);
-        assert!(read_frame(&mut std::io::Cursor::new(buf)).is_err());
+        assert!(read_one(&buf).is_err());
         // Wrong magic in an otherwise valid frame.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"XXXX\x01\x00\x00").unwrap();
+        let buf = encode_frame(b"XXXX\x01\x00\x00", 0, 0).unwrap();
         assert!(matches!(
-            read_message::<Request>(&mut std::io::Cursor::new(buf)),
+            read_msg::<Request>(&buf),
             Err(CatalogError::Artifact(ArtifactError::BadMagic))
         ));
         // Future version.
@@ -1608,10 +1644,9 @@ mod tests {
         payload.extend_from_slice(b"SIRQ");
         payload.extend_from_slice(&4u16.to_le_bytes());
         payload.push(0);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
+        let buf = encode_frame(&payload, 0, 0).unwrap();
         assert!(matches!(
-            read_message::<Request>(&mut std::io::Cursor::new(buf)),
+            read_msg::<Request>(&buf),
             Err(CatalogError::Artifact(ArtifactError::BadVersion(4)))
         ));
         // Superseded versions: v1 (pre-thickness payload layouts) and
@@ -1621,16 +1656,14 @@ mod tests {
             payload.extend_from_slice(b"SIRQ");
             payload.extend_from_slice(&old.to_le_bytes());
             payload.push(0);
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &payload).unwrap();
-            match read_message::<Request>(&mut std::io::Cursor::new(buf)) {
+            let buf = encode_frame(&payload, 0, 0).unwrap();
+            match read_msg::<Request>(&buf) {
                 Err(CatalogError::Artifact(ArtifactError::BadVersion(v))) => assert_eq!(v, old),
                 other => panic!("superseded v{old} decoded as {other:?}"),
             }
         }
         // Truncated request body inside a well-formed frame.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"SIRQ\x03\x00").unwrap();
-        assert!(read_message::<Request>(&mut std::io::Cursor::new(buf)).is_err());
+        let buf = encode_frame(b"SIRQ\x03\x00", 0, 0).unwrap();
+        assert!(read_msg::<Request>(&buf).is_err());
     }
 }

@@ -5,6 +5,7 @@
 //! of the wire.
 
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -12,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use icesat_geo::{MapPoint, EPSG_3976};
 use icesat_scene::SurfaceClass;
+use seaice::artifact::Artifact;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_catalog::obs::{parse_exposition, Histogram, HistogramSnapshot, TraceReport};
 use seaice_catalog::wire::{self, Request, Response};
@@ -273,15 +275,22 @@ fn malformed_frames_count_separately_and_do_not_kill_the_connection() {
     let server = CatalogServer::serve(Arc::clone(&catalog), "127.0.0.1:0").unwrap();
 
     let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = wire::FrameReader::default();
+    let mut next_response = |stream: &mut TcpStream| {
+        let frame = reader.read(stream, || false).unwrap();
+        frame.map(|f| Response::from_bytes(&f.payload).unwrap())
+    };
     // A frame-layer-valid payload that is not a decodable Request.
-    wire::write_frame(&mut stream, &[0xFF, 0xFE, 0xFD, 0xFC]).unwrap();
-    match wire::read_message::<Response>(&mut stream).unwrap() {
+    let garbage = wire::encode_frame(&[0xFF, 0xFE, 0xFD, 0xFC], 0, 0).unwrap();
+    stream.write_all(&garbage).unwrap();
+    match next_response(&mut stream) {
         Some(Response::Error { .. }) => {}
         other => panic!("expected an error frame for garbage, got {other:?}"),
     }
     // The connection survives: a well-formed Ping still answers.
-    wire::write_message(&mut stream, &Request::Ping).unwrap();
-    let stats = match wire::read_message::<Response>(&mut stream).unwrap() {
+    let ping = wire::encode_frame(&Request::Ping.to_bytes(), 0, 0).unwrap();
+    stream.write_all(&ping).unwrap();
+    let stats = match next_response(&mut stream) {
         Some(Response::Pong(stats)) => stats,
         other => panic!("expected a pong, got {other:?}"),
     };

@@ -206,9 +206,10 @@ fn drain(stream: &mut TcpStream, quiet: Duration) -> usize {
     let deadline = Instant::now() + Duration::from_secs(10);
     let _ = stream.set_read_timeout(Some(quiet));
     let mut frames = 0usize;
+    let mut reader = wire::FrameReader::default();
     loop {
         assert!(Instant::now() < deadline, "server hung on a mutated stream");
-        match wire::read_frame_cancellable(stream, || true) {
+        match reader.read(stream, || true) {
             Ok(Some(_)) => frames += 1,
             Ok(None) => return frames, // quiet or clean EOF
             Err(_) => return frames,   // dropped mid-frame: a clean drop for us
@@ -331,8 +332,10 @@ fn duplicate_in_flight_request_ids_fail_typed_without_killing_the_connection() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut saw_dup_error = false;
     let mut saw_ingested = false;
+    let mut reader = wire::FrameReader::default();
     while !(saw_dup_error && saw_ingested) {
-        let frame = wire::read_frame_cancellable(&mut raw, || Instant::now() >= deadline)
+        let frame = reader
+            .read(&mut raw, || Instant::now() >= deadline)
             .unwrap()
             .expect("duplicate-id exchange hung or dropped the connection");
         assert_eq!(frame.request_id, 7);
@@ -356,7 +359,8 @@ fn duplicate_in_flight_request_ids_fail_typed_without_killing_the_connection() {
     // Same connection, fresh id: still serving.
     raw.write_all(&wire::encode_frame(&Request::Ping.to_bytes(), 8, 0).unwrap())
         .unwrap();
-    let frame = wire::read_frame_cancellable(&mut raw, || Instant::now() >= deadline)
+    let frame = reader
+        .read(&mut raw, || Instant::now() >= deadline)
         .unwrap()
         .expect("connection must stay usable after a duplicate id");
     assert_eq!(frame.request_id, 8);

@@ -98,12 +98,6 @@ impl FleetDriver {
         &self.cluster
     }
 
-    /// Replaces the cluster topology (e.g. for a scalability sweep).
-    pub fn with_cluster(mut self, cluster: Cluster) -> Self {
-        self.cluster = cluster;
-        self
-    }
-
     /// Materialises `n_granules` granule files (three strong beams each)
     /// under `dir`, returning `(file, beam)` sources — one partition each.
     pub fn write_fleet(

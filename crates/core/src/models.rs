@@ -40,11 +40,6 @@ impl ModelKind {
         }
     }
 
-    /// `true` when the model consumes sequence windows.
-    pub fn is_sequence(self) -> bool {
-        matches!(self, ModelKind::PaperLstm)
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {

@@ -456,14 +456,6 @@ impl PipelineBuilder {
     pub fn run(self) -> StagedRun {
         Pipeline::new(self.config).run_staged(self.beam)
     }
-
-    /// Runs stages 1–2 and 4 against an already-trained model set —
-    /// the "reuse one classifier across granules" path.
-    pub fn run_with_models(self, models: &mut TrainedModels) -> (CuratedTrack, SeaIceProducts) {
-        let track = self.curate();
-        let products = models.products(&track);
-        (track, products)
-    }
 }
 
 #[cfg(test)]

@@ -204,15 +204,6 @@ impl HistogramSnapshot {
         }
         self.max_us
     }
-
-    /// Mean observed value, microseconds. 0 when empty.
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

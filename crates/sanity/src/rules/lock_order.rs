@@ -51,7 +51,7 @@ const ACQUIRE_METHODS: [&str; 3] = ["lock", "read", "write"];
 /// Calls that can park the thread while a guard is held (server.rs
 /// check). `read`/`write` with arguments are *not* listed: on the
 /// epoll path they are nonblocking by construction.
-const BLOCKING_CALLS: [&str; 10] = [
+const BLOCKING_CALLS: [&str; 8] = [
     "read_exact",
     "write_all",
     "read_to_end",
@@ -60,8 +60,6 @@ const BLOCKING_CALLS: [&str; 10] = [
     "sleep",
     "recv",
     "recv_timeout",
-    "read_frame",
-    "write_frame",
 ];
 
 /// Calls that run pool jobs (rayon shim check).

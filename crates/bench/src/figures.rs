@@ -6,9 +6,7 @@
 //! smoothest method, matching distribution peaks, …). All runners consume
 //! the staged artifacts ([`seaice::stages`]) of one shared workload.
 
-use icesat_scene::SurfaceClass;
 use seaice::eval;
-use seaice::freeboard::FreeboardProduct;
 use seaice::seasurface::SeaSurfaceMethod;
 
 use crate::common::{compare_line, shared_run, ExperimentOutput, Scale};
@@ -289,19 +287,4 @@ pub fn resolution_ablation(scale: Scale) -> ExperimentOutput {
         report,
         metrics,
     }
-}
-
-/// Quick-look product comparison used by tests: two freeboard products
-/// must share their distribution peak within `tol` metres.
-pub fn peaks_align(a: &FreeboardProduct, b: &FreeboardProduct, tol: f64) -> bool {
-    (a.modal_freeboard(-0.2, 1.2, 56) - b.modal_freeboard(-0.2, 1.2, 56)).abs() <= tol
-}
-
-/// Class-fraction sanity shared by figure tests.
-pub fn thick_ice_dominates(classes: &[SurfaceClass]) -> bool {
-    let thick = classes
-        .iter()
-        .filter(|c| **c == SurfaceClass::ThickIce)
-        .count();
-    thick * 2 > classes.len()
 }

@@ -40,25 +40,21 @@
 //! - [`ShardRouter`] accepts **replica groups** per scope
 //!   ([`ReplicaSpec`]) and fails over within a group. A per-replica
 //!   circuit breaker trips after consecutive transport failures
-//!   (`Open`), stops sending traffic there, and recovers through
-//!   half-open probes — either lazily after a cooldown or eagerly via a
-//!   background [`crate::wire::Request::Ping`] prober thread
-//!   ([`RouterConfig::probe_interval`]). When *no* replica for an owned
-//!   scope is reachable, routed queries return a typed [`Routed`] value
-//!   naming the missing scopes; the strict methods turn the same
-//!   situation into [`CatalogError::Degraded`].
+//!   (`Open`), stops sending traffic there, and lets the first query
+//!   after the cooldown through as a half-open probe. When *no* replica
+//!   for an owned scope is reachable, [`ShardRouter::run_routed`]
+//!   returns a typed [`Routed`] value naming the missing scopes; the
+//!   strict methods turn the same situation into
+//!   [`CatalogError::Degraded`].
 
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use icesat_geo::{BoundingBox, GeoPoint, EPSG_3976};
 use seaice::artifact::Artifact;
-use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
+use seaice::freeboard::FreeboardProduct;
 use seaice_obs::{next_trace_id, Counter, Histogram, MetricRegistry, Trace, TraceLog, TraceReport};
 
 use crate::fault::splitmix64;
@@ -1128,13 +1124,9 @@ pub struct RouterConfig {
     /// Consecutive transport failures that trip a replica's breaker
     /// open.
     pub breaker_threshold: u32,
-    /// How long an open breaker blocks traffic before allowing one
-    /// half-open probe attempt.
+    /// How long an open breaker blocks traffic before the next query
+    /// may probe the replica (half-open).
     pub breaker_cooldown: Duration,
-    /// When set, a background thread pings tripped replicas at this
-    /// interval and closes their breakers as soon as they answer —
-    /// recovery without waiting for live traffic to probe.
-    pub probe_interval: Option<Duration>,
 }
 
 impl Default for RouterConfig {
@@ -1143,28 +1135,21 @@ impl Default for RouterConfig {
             client: ClientConfig::default(),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(1),
-            probe_interval: None,
         }
     }
 }
 
 /// Circuit-breaker state of one replica connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Healthy: traffic flows.
     Closed,
-    /// Tripped: traffic is blocked until the cooldown elapses.
-    Open,
-    /// Cooldown elapsed: the next request (or background ping) is a
-    /// probe — success closes the breaker, failure re-opens it.
+    /// Tripped at the held instant: traffic is blocked until the
+    /// cooldown elapses.
+    Open(Instant),
+    /// Cooldown elapsed: the next request is a probe — success closes
+    /// the breaker, failure re-opens it.
     HalfOpen,
-}
-
-#[derive(Debug)]
-struct BreakerInner {
-    state: BreakerState,
-    consecutive_failures: u32,
-    opened_at: Option<Instant>,
 }
 
 /// Shared state-transition counters
@@ -1190,13 +1175,13 @@ impl BreakerMetrics {
 
 /// Per-replica circuit breaker: trips open after
 /// [`RouterConfig::breaker_threshold`] consecutive transport failures,
-/// blocks traffic for the cooldown, then lets a single half-open probe
-/// decide. Shared (`Arc`) between the query path and the background
-/// prober.
+/// blocks traffic for the cooldown, then lets the next query through as
+/// the single half-open probe that decides.
 struct Breaker {
     threshold: u32,
     cooldown: Duration,
-    inner: Mutex<BreakerInner>,
+    state: BreakerState,
+    consecutive_failures: u32,
     metrics: BreakerMetrics,
 }
 
@@ -1205,56 +1190,49 @@ impl Breaker {
         Breaker {
             threshold: threshold.max(1),
             cooldown,
-            inner: Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                opened_at: None,
-            }),
+            state: BreakerState::Closed,
+            consecutive_failures: 0,
             metrics,
         }
     }
 
     /// May traffic flow? Flips `Open` → `HalfOpen` once the cooldown
     /// elapses (the caller becomes the probe).
-    fn allows(&self) -> bool {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match g.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open => {
-                let cooled = g.opened_at.is_some_and(|at| at.elapsed() >= self.cooldown);
-                if cooled {
-                    g.state = BreakerState::HalfOpen;
-                    self.metrics.to_half_open.inc();
-                }
-                cooled
+    fn allows(&mut self) -> bool {
+        if let BreakerState::Open(since) = self.state {
+            if since.elapsed() < self.cooldown {
+                return false;
             }
+            self.state = BreakerState::HalfOpen;
+            self.metrics.to_half_open.inc();
         }
+        true
     }
 
-    fn on_success(&self) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if g.state != BreakerState::Closed {
+    fn on_success(&mut self) {
+        if self.state != BreakerState::Closed {
             self.metrics.to_closed.inc();
         }
-        g.state = BreakerState::Closed;
-        g.consecutive_failures = 0;
-        g.opened_at = None;
+        self.state = BreakerState::Closed;
+        self.consecutive_failures = 0;
     }
 
-    fn on_failure(&self) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        g.consecutive_failures += 1;
-        if g.state == BreakerState::HalfOpen || g.consecutive_failures >= self.threshold {
-            if g.state != BreakerState::Open {
-                self.metrics.to_open.inc();
-            }
-            g.state = BreakerState::Open;
-            g.opened_at = Some(Instant::now());
+    /// Counts a transport failure: opens the breaker at the threshold,
+    /// or at once when the failure was a half-open probe.
+    fn on_failure(&mut self) {
+        self.consecutive_failures += 1;
+        if self.state == BreakerState::HalfOpen || self.consecutive_failures >= self.threshold {
+            self.trip();
         }
     }
 
-    fn state(&self) -> BreakerState {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).state
+    /// Opens the breaker now, whatever the failure count; the cooldown
+    /// starts over.
+    fn trip(&mut self) {
+        if !matches!(self.state, BreakerState::Open(_)) {
+            self.metrics.to_open.inc();
+        }
+        self.state = BreakerState::Open(Instant::now());
     }
 }
 
@@ -1262,7 +1240,7 @@ struct Replica {
     addr: String,
     /// `None` until (re)connected; dropped on transport failure.
     client: Option<CatalogClient>,
-    breaker: Arc<Breaker>,
+    breaker: Breaker,
 }
 
 struct Group {
@@ -1271,9 +1249,9 @@ struct Group {
 }
 
 /// How a replica group answered (or didn't).
-enum GroupOutcome<T> {
+enum GroupOutcome {
     /// Some replica answered.
-    Ok(T),
+    Ok(Records),
     /// Every replica was unreachable (transport-class failures or
     /// breakers open): the scope is missing from the answer.
     Unreachable,
@@ -1288,22 +1266,22 @@ enum GroupOutcome<T> {
 /// [`CatalogError::Degraded`] instead; this type is for callers that
 /// prefer a partial answer over none.
 #[derive(Debug, Clone)]
-pub struct Routed<T> {
-    /// The answer over every reachable scope.
-    pub value: T,
+pub struct Routed {
+    /// The merged records of every reachable scope.
+    pub value: Records,
     /// Scopes with no reachable replica (empty = complete).
     pub missing: Vec<TileScope>,
 }
 
-impl<T> Routed<T> {
+impl Routed {
     /// True when every owned scope answered.
     pub fn is_complete(&self) -> bool {
         self.missing.is_empty()
     }
 
-    /// The value if complete, else a typed [`CatalogError::Degraded`]
-    /// naming the missing scopes.
-    pub fn into_complete(self) -> Result<T, CatalogError> {
+    /// The records if complete, else a typed
+    /// [`CatalogError::Degraded`] naming the missing scopes.
+    pub fn into_complete(self) -> Result<Records, CatalogError> {
         if self.missing.is_empty() {
             Ok(self.value)
         } else {
@@ -1325,36 +1303,18 @@ impl<T> Routed<T> {
 ///
 /// Each scope may be served by several replicas
 /// ([`ShardRouter::connect_replicated`]): queries fail over within the
-/// group, per-replica circuit breakers keep traffic off dead servers,
-/// and an optional background prober pings tripped replicas back into
-/// rotation. [`ShardRouter::run_routed`] (and
-/// [`ShardRouter::query_rect_routed`]) return [`Routed`] partial answers
-/// naming unreachable scopes; the typed query methods demand
+/// group, and per-replica circuit breakers keep traffic off dead
+/// servers until a query after the cooldown probes them back into
+/// rotation. [`ShardRouter::run_routed`] returns [`Routed`] partial
+/// answers naming unreachable scopes; the typed query methods demand
 /// completeness and fail with [`CatalogError::Degraded`] otherwise.
 pub struct ShardRouter {
     groups: Vec<Group>,
     grid: GridConfig,
     config: RouterConfig,
-    prober: Option<Prober>,
     /// Routed answers that came back missing at least one scope
     /// (`router_degraded_total`).
     degraded: Counter,
-}
-
-struct Prober {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for ShardRouter {
-    fn drop(&mut self) {
-        if let Some(prober) = self.prober.as_mut() {
-            prober.stop.store(true, Ordering::SeqCst);
-            if let Some(handle) = prober.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
 }
 
 impl ShardRouter {
@@ -1417,12 +1377,12 @@ impl ShardRouter {
             let mut connected_any = false;
             let mut last_err: Option<CatalogError> = None;
             for addr in &spec.addrs {
-                let breaker = Arc::new(Breaker::new(
+                let mut breaker = Breaker::new(
                     config.breaker_threshold,
                     config.breaker_cooldown,
                     breaker_metrics.clone(),
-                ));
-                match CatalogClient::connect_with(addr, config.client.clone()) {
+                );
+                let client = match CatalogClient::connect_with(addr, config.client.clone()) {
                     Ok(client) => {
                         match grid {
                             None => grid = Some(*client.grid()),
@@ -1434,22 +1394,19 @@ impl ShardRouter {
                             Some(_) => {}
                         }
                         connected_any = true;
-                        replicas.push(Replica {
-                            addr: addr.clone(),
-                            client: Some(client),
-                            breaker,
-                        });
+                        Some(client)
                     }
                     Err(e) => {
-                        breaker.on_failure();
+                        breaker.trip();
                         last_err = Some(e);
-                        replicas.push(Replica {
-                            addr: addr.clone(),
-                            client: None,
-                            breaker,
-                        });
+                        None
                     }
-                }
+                };
+                replicas.push(Replica {
+                    addr: addr.clone(),
+                    client,
+                    breaker,
+                });
             }
             if !connected_any {
                 return Err(last_err.unwrap_or_else(|| {
@@ -1485,78 +1442,14 @@ impl ShardRouter {
                 )));
             }
         }
-        let mut router = ShardRouter {
+        let router = ShardRouter {
             groups,
             grid,
             config,
-            prober: None,
             degraded,
         };
         router.check_covering()?;
-        router.spawn_prober();
         Ok(router)
-    }
-
-    /// Starts the background half-open prober when configured: pings
-    /// every non-`Closed` replica each interval over a fresh throwaway
-    /// connection (sockets are never shared across threads) and closes
-    /// its breaker on a pong.
-    fn spawn_prober(&mut self) {
-        let Some(interval) = self.config.probe_interval else {
-            return;
-        };
-        let targets: Vec<(String, Arc<Breaker>)> = self
-            .groups
-            .iter()
-            .flat_map(|g| {
-                g.replicas
-                    .iter()
-                    .map(|r| (r.addr.clone(), Arc::clone(&r.breaker)))
-            })
-            .collect();
-        let mut probe_config = self.config.client.clone();
-        probe_config.retry = RetryPolicy::none();
-        probe_config.connect_timeout = probe_config
-            .connect_timeout
-            .or(Some(Duration::from_millis(500)));
-        probe_config.request_deadline = probe_config
-            .request_deadline
-            .or(Some(Duration::from_secs(1)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let tick = Duration::from_millis(20);
-            let mut since_probe = Duration::ZERO;
-            loop {
-                if thread_stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(tick);
-                since_probe += tick;
-                if since_probe < interval {
-                    continue;
-                }
-                since_probe = Duration::ZERO;
-                for (addr, breaker) in &targets {
-                    if thread_stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if breaker.state() == BreakerState::Closed {
-                        continue;
-                    }
-                    let pong = CatalogClient::connect_with(addr, probe_config.clone())
-                        .and_then(|mut probe| probe.ping());
-                    match pong {
-                        Ok(_) => breaker.on_success(),
-                        Err(_) => breaker.on_failure(),
-                    }
-                }
-            }
-        });
-        self.prober = Some(Prober {
-            stop,
-            handle: Some(handle),
-        });
     }
 
     /// Rejects shard maps that leave level-`L` quadkeys unowned, where
@@ -1625,7 +1518,7 @@ impl ShardRouter {
     /// group's scope, failing over in preference order. Breakers gate
     /// which replicas see traffic; transport failures trip them,
     /// catalog-side errors don't (the server *answered*).
-    fn group_call(&mut self, gi: usize, request: &Request) -> GroupOutcome<Records> {
+    fn group_call(&mut self, gi: usize, request: &Request) -> GroupOutcome {
         let client_config = self.config.client.clone();
         let grid = self.grid;
         let group = &mut self.groups[gi];
@@ -1690,7 +1583,7 @@ impl ShardRouter {
     /// in-process catalog holding all the data. Groups with no reachable
     /// replica are named in [`Routed::missing`] (counted once in
     /// `router_degraded_total`); a catalog-side error propagates.
-    pub fn run_routed(&mut self, request: &Request) -> Result<Routed<Records>, CatalogError> {
+    pub fn run_routed(&mut self, request: &Request) -> Result<Routed, CatalogError> {
         // Refuse a request outside the query path before any shard sees
         // it.
         Records::empty_for(request)?;
@@ -1720,24 +1613,6 @@ impl ShardRouter {
         })
     }
 
-    /// Routed [`crate::Catalog::query_rect`] with degradation: merges
-    /// bit-identically over every reachable owner scope and names the
-    /// unreachable ones.
-    pub fn query_rect_routed(
-        &mut self,
-        rect: &MapRect,
-        time: TimeRange,
-    ) -> Result<Routed<QuerySummary>, CatalogError> {
-        let scope = TileScope::all();
-        let Routed { value, missing } = self.run_routed(&Request::QueryRect {
-            rect: *rect,
-            time,
-            scope,
-        })?;
-        let value = value.into_summary()?;
-        Ok(Routed { value, missing })
-    }
-
     /// Routed [`crate::Catalog::query_rect`] — fans out to the shards owning
     /// candidate tiles and merges bit-identically; every owner scope
     /// must be reachable.
@@ -1746,7 +1621,14 @@ impl ShardRouter {
         rect: &MapRect,
         time: TimeRange,
     ) -> Result<QuerySummary, CatalogError> {
-        self.query_rect_routed(rect, time)?.into_complete()
+        let scope = TileScope::all();
+        self.run_routed(&Request::QueryRect {
+            rect: *rect,
+            time,
+            scope,
+        })?
+        .into_complete()?
+        .into_summary()
     }
 
     /// Routed [`crate::Catalog::query_bbox`].
@@ -1829,22 +1711,19 @@ impl ShardRouter {
 // Shard-partitioned ingest.
 // ---------------------------------------------------------------------------
 
-/// Splits one beam product into per-shard products by the owning scope
-/// of each point's tile: point `i` of the input lands in output `j` iff
-/// `scopes[j]` owns the tile its projected position falls in. Points
-/// outside the grid domain (or outside every scope) are dropped —
-/// exactly the points a direct [`crate::Catalog::ingest_beam`] would count out
-/// of domain. Relative point order is preserved, so per-shard catalogs
-/// ingest the same canonical samples a monolithic catalog would.
-pub fn partition_product(
+/// The one point partition behind [`partition_product`] and
+/// [`partition_thickness`]: one list per scope, `lat_lon` locating each
+/// point.
+fn partition_points<P: Copy>(
     grid: &GridConfig,
     scopes: &[TileScope],
-    product: &FreeboardProduct,
-) -> Vec<FreeboardProduct> {
-    let mut outputs: Vec<Vec<FreeboardPoint>> = vec![Vec::new(); scopes.len()];
-    for p in &product.points {
-        let m = EPSG_3976.forward(GeoPoint::new(p.lat, p.lon));
-        let Some((tile, _)) = grid.locate(m) else {
+    points: &[P],
+    lat_lon: impl Fn(&P) -> (f64, f64),
+) -> Vec<Vec<P>> {
+    let mut outputs = vec![Vec::new(); scopes.len()];
+    for p in points {
+        let (lat, lon) = lat_lon(p);
+        let Some((tile, _)) = grid.locate(EPSG_3976.forward(GeoPoint::new(lat, lon))) else {
             continue;
         };
         if let Some(j) = scopes.iter().position(|s| s.matches(&tile)) {
@@ -1852,6 +1731,22 @@ pub fn partition_product(
         }
     }
     outputs
+}
+
+/// Splits one beam product into per-shard products by the owning scope
+/// of each point's tile: point `i` of the input lands in output `j` iff
+/// `scopes[j]` owns the tile its projected position falls in. Points
+/// outside the grid domain (or outside every scope) are dropped —
+/// exactly the points a direct [`crate::Catalog::ingest_beam`] would
+/// count out of domain. Relative point order is preserved, so per-shard
+/// catalogs ingest the same canonical samples a monolithic catalog
+/// would.
+pub fn partition_product(
+    grid: &GridConfig,
+    scopes: &[TileScope],
+    product: &FreeboardProduct,
+) -> Vec<FreeboardProduct> {
+    partition_points(grid, scopes, &product.points, |p| (p.lat, p.lon))
         .into_iter()
         .map(|points| FreeboardProduct {
             name: product.name.clone(),
@@ -1880,29 +1775,18 @@ pub fn partition_products(
     out
 }
 
-/// [`partition_product`] for thickness-enriched beams: splits one
-/// [`seaice_products::BeamThickness`] into per-shard beams by the owning
-/// scope of each point's tile, preserving the snow/thickness fields
-/// verbatim so per-shard [`crate::Catalog::ingest_thickness_beam`] calls
-/// land the same canonical samples a monolithic catalog would.
+/// [`partition_product`] for thickness-enriched beams: the snow and
+/// thickness fields travel verbatim, so per-shard
+/// [`crate::Catalog::ingest_thickness_beam`] calls land the same
+/// canonical samples a monolithic catalog would.
 pub fn partition_thickness(
     grid: &GridConfig,
     scopes: &[TileScope],
-    beam: &seaice_products::BeamThickness,
-) -> Vec<seaice_products::BeamThickness> {
-    let mut outputs: Vec<Vec<seaice_products::ProductPoint>> = vec![Vec::new(); scopes.len()];
-    for p in &beam.points {
-        let m = EPSG_3976.forward(GeoPoint::new(p.lat, p.lon));
-        let Some((tile, _)) = grid.locate(m) else {
-            continue;
-        };
-        if let Some(j) = scopes.iter().position(|s| s.matches(&tile)) {
-            outputs[j].push(*p);
-        }
-    }
-    outputs
+    beam: &BeamThickness,
+) -> Vec<BeamThickness> {
+    partition_points(grid, scopes, &beam.points, |p| (p.lat, p.lon))
         .into_iter()
-        .map(|points| seaice_products::BeamThickness {
+        .map(|points| BeamThickness {
             granule_id: beam.granule_id.clone(),
             beam: beam.beam,
             snow_model: beam.snow_model.clone(),
@@ -1930,5 +1814,72 @@ mod tests {
             );
             assert_eq!(policy.backoff(k), policy.backoff(k), "retry {k}");
         }
+    }
+
+    /// A breaker over a private registry, and a reader of its
+    /// `router_breaker_transitions_total` counters as
+    /// `[closed, open, half_open]`.
+    fn breaker(threshold: u32, cooldown: Duration) -> (Breaker, impl Fn() -> [u64; 3]) {
+        let metrics = BreakerMetrics::new(&MetricRegistry::new());
+        let counters = metrics.clone();
+        let transitions = move || {
+            [
+                counters.to_closed.get(),
+                counters.to_open.get(),
+                counters.to_half_open.get(),
+            ]
+        };
+        (Breaker::new(threshold, cooldown, metrics), transitions)
+    }
+
+    /// Closed below the threshold (a success resets the count), open at
+    /// it, and no traffic until the cooldown has elapsed.
+    #[test]
+    fn breaker_opens_at_the_threshold_and_blocks_for_the_cooldown() {
+        let (mut b, transitions) = breaker(3, Duration::from_secs(3600));
+        b.on_failure();
+        b.on_failure();
+        b.on_success();
+        b.on_failure();
+        b.on_failure();
+        assert_eq!(b.state, BreakerState::Closed);
+        assert!(b.allows());
+        assert_eq!(
+            transitions(),
+            [0, 0, 0],
+            "no transition below the threshold"
+        );
+        b.on_failure();
+        assert!(matches!(b.state, BreakerState::Open(_)));
+        assert_eq!(transitions(), [0, 1, 0]);
+        assert!(
+            !b.allows(),
+            "open breakers block traffic before the cooldown"
+        );
+        assert!(matches!(b.state, BreakerState::Open(_)));
+        assert_eq!(transitions(), [0, 1, 0]);
+    }
+
+    /// After the cooldown the next caller is the half-open probe: one
+    /// failure re-opens the breaker, one success closes it.
+    #[test]
+    fn breaker_half_open_probe_reopens_on_failure_and_closes_on_success() {
+        let (mut b, transitions) = breaker(3, Duration::ZERO);
+        b.trip();
+        assert_eq!(transitions(), [0, 1, 0]);
+        assert!(b.allows(), "the cooldown has elapsed");
+        assert_eq!(b.state, BreakerState::HalfOpen);
+        assert_eq!(transitions(), [0, 1, 1]);
+        b.on_failure();
+        assert!(matches!(b.state, BreakerState::Open(_)));
+        assert_eq!(transitions(), [0, 2, 1], "one half-open failure re-opens");
+        assert!(b.allows());
+        assert_eq!(transitions(), [0, 2, 2]);
+        b.on_success();
+        assert_eq!(b.state, BreakerState::Closed);
+        assert_eq!(transitions(), [1, 2, 2]);
+        b.on_failure();
+        assert_eq!(b.state, BreakerState::Closed, "a close resets the count");
+        assert_eq!(transitions(), [1, 2, 2]);
     }
 }

@@ -73,8 +73,8 @@ pub mod wire;
 
 pub use cache::{CacheStats, TileCache, TileKey};
 pub use client::{
-    BreakerState, CatalogClient, ClientConfig, Pending, ReplicaSpec, RetryPolicy, Routed,
-    RouterConfig, ShardRouter, ShardSpec,
+    CatalogClient, ClientConfig, Pending, ReplicaSpec, RetryPolicy, Routed, RouterConfig,
+    ShardRouter, ShardSpec,
 };
 pub use compact::{compact, CompactionConfig, CompactionReport, LayerMap};
 pub use fault::{ChaosProxy, FaultAction, FaultPlan};
@@ -157,8 +157,7 @@ pub enum CatalogError {
     },
     /// A routed query could not reach any replica for one or more
     /// scopes. Strict query methods return this typed error;
-    /// [`client::ShardRouter::run_routed`] and
-    /// [`client::ShardRouter::query_rect_routed`] instead return a
+    /// [`client::ShardRouter::run_routed`] instead returns a
     /// [`client::Routed`] value naming the same scopes so callers can
     /// use the partial answer.
     Degraded {

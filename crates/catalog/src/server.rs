@@ -117,9 +117,9 @@ struct Counters {
     errors: Counter,
     idle_dropped: Counter,
     malformed: Counter,
-    /// Requests accepted by the event loop whose completion has not
-    /// yet been observed (`server_requests_in_flight`) — under
-    /// multiplexing this exceeds the connection count.
+    /// Requests accepted by the event loop that no worker has finished
+    /// yet (`server_requests_in_flight`) — under multiplexing this
+    /// exceeds the connection count.
     requests_in_flight: Gauge,
     /// Jobs waiting for a worker (`server_worker_queue_depth`).
     queue_depth: Gauge,
@@ -184,11 +184,19 @@ struct ConnShared {
     /// for it) or by a worker on an unrecoverable send failure (the
     /// loop then closes the socket).
     dead: AtomicBool,
+    /// When a request last completed (or the connection was accepted).
+    /// A connection with nothing in flight, nothing to flush, and no
+    /// completion for [`ServerConfig::idle_timeout`] is dropped.
+    last_activity: Mutex<Instant>,
 }
 
 impl ConnShared {
     fn in_flight(&self) -> std::sync::MutexGuard<'_, HashSet<u64>> {
         self.in_flight.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn last_activity(&self) -> std::sync::MutexGuard<'_, Instant> {
+        self.last_activity.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -203,12 +211,6 @@ struct Job {
     t0: Instant,
 }
 
-/// A worker finished (or abandoned) a request id on a connection.
-struct Completion {
-    conn_id: usize,
-    request_id: u64,
-}
-
 struct JobQueue {
     jobs: VecDeque<Job>,
     stop: bool,
@@ -218,7 +220,6 @@ struct JobQueue {
 struct Shared {
     queue: Mutex<JobQueue>,
     available: Condvar,
-    completions: Mutex<Vec<Completion>>,
     /// Connections with freshly queued output, awaiting a flush.
     dirty: Mutex<Vec<usize>>,
     waker: Waker,
@@ -241,18 +242,6 @@ impl Shared {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(conn_id);
-        let _ = self.waker.wake();
-    }
-
-    /// Reports a finished request id and wakes the loop.
-    fn complete(&self, conn_id: usize, request_id: u64) {
-        self.completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Completion {
-                conn_id,
-                request_id,
-            });
         let _ = self.waker.wake();
     }
 }
@@ -306,7 +295,6 @@ impl CatalogServer {
                 stop: false,
             }),
             available: Condvar::new(),
-            completions: Mutex::new(Vec::new()),
             dirty: Mutex::new(Vec::new()),
             waker,
             shutdown: AtomicBool::new(false),
@@ -409,10 +397,6 @@ struct Conn {
     /// The frame currently flushing (popped off the shared queue) and
     /// how much of it has hit the socket.
     current: Option<(Vec<u8>, usize)>,
-    /// Reset when a request completes; a connection with nothing in
-    /// flight, nothing to flush, and no completion for
-    /// [`ServerConfig::idle_timeout`] is dropped.
-    last_activity: Instant,
     /// Whether the socket is currently registered for write interest.
     write_interest: bool,
 }
@@ -473,18 +457,6 @@ fn event_loop(
                 }
             }
         }
-        // Completions: retire in-flight ids and reset idle clocks.
-        let completions =
-            std::mem::take(&mut *shared.completions.lock().unwrap_or_else(|e| e.into_inner()));
-        for completion in completions {
-            if let Some(conn) = conns.get_mut(&completion.conn_id) {
-                // Usually already retired by the worker's terminal
-                // flush; this sweep catches delivery-failure paths.
-                conn.shared.in_flight().remove(&completion.request_id);
-                conn.last_activity = Instant::now();
-            }
-            counters.requests_in_flight.add(-1);
-        }
         // Flush wherever output appeared (worker enqueues) or the
         // socket asked for it (writable events, fresh reads).
         let mut dirty =
@@ -516,7 +488,7 @@ fn event_loop(
                 .filter(|(_, c)| {
                     c.shared.in_flight().is_empty()
                         && !c.has_output()
-                        && c.last_activity.elapsed() > limit
+                        && c.shared.last_activity().elapsed() > limit
                 })
                 .map(|(&id, _)| id)
                 .collect();
@@ -575,10 +547,10 @@ fn accept_ready(
                     out: Mutex::new(VecDeque::new()),
                     in_flight: Mutex::new(HashSet::new()),
                     dead: AtomicBool::new(false),
+                    last_activity: Mutex::new(Instant::now()),
                 }),
                 read_buf: Vec::new(),
                 current: None,
-                last_activity: Instant::now(),
                 write_interest: false,
             },
         );
@@ -753,10 +725,8 @@ fn worker_main(catalog: &Catalog, shared: &Shared, counters: &Counters, config: 
         let Some(job) = job else {
             return;
         };
-        let conn_id = job.conn.id;
-        let request_id = job.request_id;
         handle_job(catalog, shared, counters, config, job);
-        shared.complete(conn_id, request_id);
+        counters.requests_in_flight.add(-1);
     }
 }
 
@@ -778,8 +748,7 @@ fn handle_job(
     // A request is counted only once it decodes — malformed frames
     // get their own counter instead of inflating `requests` with
     // entries no per-kind metric accounts for.
-    let request = match Request::from_bytes(&job.payload) {
-        Ok(request) => request,
+    let outcome = match Request::from_bytes(&job.payload) {
         Err(e) => {
             // The frame boundary is intact, so the connection survives
             // a malformed message.
@@ -789,30 +758,29 @@ fn handle_job(
             };
             counters.malformed.inc();
             counters.errors.inc();
-            let _ = sink
-                .send(&Response::Error {
-                    code,
-                    message: e.to_string(),
-                })
-                .and_then(|()| sink.finish());
-            return;
+            sink.send(&Response::Error {
+                code,
+                message: e.to_string(),
+            })
+        }
+        Ok(request) => {
+            let kind = usize::from(request.tag());
+            counters.requests.inc();
+            counters.requests_by_kind[kind].inc();
+            // A non-zero frame trace id asks for a server-side breakdown.
+            let trace = (job.trace_id != 0).then(|| Trace::new(job.trace_id));
+            let outcome = respond(catalog, &sink, request, counters, &trace, config);
+            // Observations land *before* the terminal frame is released:
+            // a client that has seen its exchange complete can never
+            // scrape a registry that has not counted it yet.
+            counters.request_us_by_kind[kind].record(job.t0.elapsed());
+            if let Some(trace) = trace {
+                counters.trace_log.push(trace.report());
+            }
+            outcome
         }
     };
-    let kind = usize::from(request.tag());
-    counters.requests.inc();
-    counters.requests_by_kind[kind].inc();
-    // A non-zero frame trace id asks for a server-side breakdown.
-    let trace = (job.trace_id != 0).then(|| Trace::new(job.trace_id));
-    let outcome = respond(catalog, &sink, request, counters, &trace, config);
-    // Observations land *before* the terminal frame is released: a
-    // client that has seen its exchange complete can never scrape a
-    // registry that has not counted it yet.
-    counters.request_us_by_kind[kind].record(job.t0.elapsed());
-    if let Some(trace) = trace {
-        counters.trace_log.push(trace.report());
-    }
-    let outcome = outcome.and_then(|()| sink.finish());
-    if outcome.is_err() {
+    if outcome.and_then(|()| sink.finish()).is_err() {
         // The response could not be delivered whole (encode failure or
         // the connection died mid-stream): kill the connection so the
         // client sees a drop, never a truncated exchange.
@@ -851,10 +819,12 @@ impl FrameSink<'_> {
 
     /// Releases the held terminal frame. Call after the request's
     /// observations are recorded; until then the client cannot have
-    /// seen the exchange complete. The request id is retired first, so
-    /// a client that reads its full response may reuse the id on its
-    /// very next frame without racing the completion queue.
+    /// seen the exchange complete. The connection's activity is stamped
+    /// first, so the idle reaper never sees a finished request with a
+    /// stale stamp; then the request id is retired, so a client that
+    /// reads its full response may reuse the id on its very next frame.
     fn finish(&self) -> Result<(), CatalogError> {
+        *self.conn.last_activity() = Instant::now();
         self.conn.in_flight().remove(&self.request_id);
         let last = self.held.borrow_mut().take();
         match last {

@@ -398,7 +398,6 @@ fn shard_failover_degrades_typed_and_recovers() {
         },
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_millis(150),
-        probe_interval: Some(Duration::from_millis(50)),
     };
     let mut router = ShardRouter::connect_replicated(&specs, config).unwrap();
 
@@ -433,13 +432,23 @@ fn shard_failover_degrades_typed_and_recovers() {
         }
     }
     assert!(saw_degraded, "a dead scope never surfaced as Degraded");
-    let routed = router.query_rect_routed(&domain, TimeRange::all()).unwrap();
+    let routed = router
+        .run_routed(&Request::QueryRect {
+            rect: domain,
+            time: TimeRange::all(),
+            scope: TileScope::all(),
+        })
+        .unwrap();
     assert!(!routed.is_complete());
     assert_eq!(routed.missing, vec![scopes[0].clone()]);
     let north_truth = shard_catalogs[1]
         .query_rect(&domain, TimeRange::all())
         .unwrap();
-    assert_bits_equal(&routed.value, &north_truth, "degraded north-only");
+    assert_bits_equal(
+        &routed.value.into_summary().unwrap(),
+        &north_truth,
+        "degraded north-only",
+    );
     // Point probes into the dead scope are typed too.
     let south_probe = EPSG_3976.inverse(MapPoint::new(-303_000.0, -1_306_000.0));
     assert!(matches!(
@@ -447,9 +456,9 @@ fn shard_failover_degrades_typed_and_recovers() {
         Err(CatalogError::Degraded { .. })
     ));
 
-    // Replicas return: the background prober re-closes the breakers and
-    // the next queries complete again — bounded wait, no manual
-    // reconnect.
+    // Replicas return: once the cooldown elapses the next query probes
+    // the tripped breakers half-open, closes them, and completes again
+    // — bounded wait, no manual reconnect.
     south_a.set_refuse_all(false);
     south_b.set_refuse_all(false);
     let deadline = Instant::now() + Duration::from_secs(10);

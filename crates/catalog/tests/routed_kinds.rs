@@ -189,7 +189,6 @@ fn every_kind_degrades_to_exactly_the_live_shard() {
         },
         breaker_threshold: 1,
         breaker_cooldown: Duration::from_secs(60),
-        probe_interval: None,
     };
     let mut router = ShardRouter::connect_replicated(&specs, config).unwrap();
     let degraded = router.registry().counter("router_degraded_total");
@@ -244,4 +243,46 @@ fn every_kind_degrades_to_exactly_the_live_shard() {
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// A replica that is down when the router is built starts with its
+/// breaker tripped, so no query dials it before the cooldown has passed.
+#[test]
+fn replica_unreachable_at_construction_starts_tripped() {
+    let grid = grid();
+    let dir = temp_dir("tripped");
+    let catalog = Arc::new(Catalog::create(&dir, grid).unwrap());
+    let server = CatalogServer::serve(catalog, "127.0.0.1:0").unwrap();
+    // A port nothing listens on: bound, read back, released.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let specs = [ReplicaSpec {
+        addrs: vec![dead, server.addr().to_string()],
+        scope: TileScope::all(),
+    }];
+    let config = RouterConfig {
+        breaker_cooldown: Duration::from_secs(60),
+        ..RouterConfig::default()
+    };
+    let mut router = ShardRouter::connect_replicated(&specs, config).unwrap();
+    let to = |state| {
+        router
+            .registry()
+            .counter_with("router_breaker_transitions_total", &[("to", state)])
+    };
+    let (to_open, to_half_open) = (to("open"), to("half_open"));
+    assert_eq!(to_open.get(), 1, "the dead replica must start tripped");
+
+    for request in requests(&grid) {
+        let routed = router.run_routed(&request).unwrap();
+        assert!(routed.is_complete(), "{request:?} degraded");
+    }
+    assert_eq!(to_open.get(), 1);
+    assert_eq!(to_half_open.get(), 0, "the dead replica was probed early");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

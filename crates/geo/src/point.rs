@@ -30,11 +30,6 @@ impl GeoPoint {
     pub fn lat_rad(&self) -> f64 {
         self.lat * crate::DEG2RAD
     }
-
-    /// Longitude in radians.
-    pub fn lon_rad(&self) -> f64 {
-        self.lon * crate::DEG2RAD
-    }
 }
 
 /// A projected point in a polar-stereographic plane, metres.

@@ -25,8 +25,6 @@ pub enum Aspect {
 #[derive(Debug, Clone, Copy)]
 pub struct PolarStereographic {
     aspect: Aspect,
-    /// Standard parallel, degrees (signed; negative for south).
-    lat_ts_deg: f64,
     /// Central meridian, degrees.
     lon0_deg: f64,
     /// False easting, metres.
@@ -66,7 +64,6 @@ impl PolarStereographic {
         let m_c = phi_c.cos() / (1.0 - wgs84::ECC2 * s * s).sqrt();
         Self {
             aspect,
-            lat_ts_deg,
             lon0_deg,
             false_easting,
             false_northing,
@@ -98,12 +95,6 @@ impl PolarStereographic {
             y = -y;
         }
         MapPoint::new(x + self.false_easting, y + self.false_northing)
-    }
-
-    /// The (signed) standard parallel this projection was built with,
-    /// degrees.
-    pub fn standard_parallel_deg(&self) -> f64 {
-        self.lat_ts_deg
     }
 
     /// Inverse projection: map coordinates (metres) back to geographic.

@@ -69,11 +69,6 @@ impl RingNode {
         self.rank
     }
 
-    /// Workers in the ring.
-    pub fn world_size(&self) -> usize {
-        self.n
-    }
-
     /// In-place sum all-reduce across the ring. Must be called by every
     /// node of the ring concurrently with equal buffer lengths; acts as a
     /// synchronisation barrier.

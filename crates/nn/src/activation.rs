@@ -169,16 +169,6 @@ impl Activation {
             Activation::Linear => 1.0,
         }
     }
-
-    /// Applies elementwise to a matrix.
-    pub fn apply_matrix(self, x: &Matrix) -> Matrix {
-        x.map(|v| self.apply(v))
-    }
-
-    /// Elementwise derivative matrix.
-    pub fn derivative_matrix(self, x: &Matrix) -> Matrix {
-        x.map(|v| self.derivative(v))
-    }
 }
 
 /// Row-wise softmax with the max-subtraction trick.

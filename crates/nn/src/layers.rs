@@ -110,16 +110,6 @@ impl Dense {
             has_cache: false,
         }
     }
-
-    /// Input width.
-    pub fn input_size(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output width.
-    pub fn output_size(&self) -> usize {
-        self.w.cols()
-    }
 }
 
 impl Layer for Dense {
@@ -378,16 +368,6 @@ impl Lstm {
             dz_stacked: Matrix::zeros(0, 0),
             dz_t: Matrix::zeros(0, 0),
         }
-    }
-
-    /// Hidden width.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
-    /// Expected input width (`seq_len × input`).
-    pub fn flat_input_size(&self) -> usize {
-        self.seq_len * self.input
     }
 }
 

@@ -73,7 +73,6 @@ pub struct Event {
     token: Token,
     readable: bool,
     writable: bool,
-    error: bool,
     closed: bool,
 }
 
@@ -92,11 +91,6 @@ impl Event {
     /// The source is writable.
     pub fn is_writable(&self) -> bool {
         self.writable
-    }
-
-    /// The source reported an error condition (`EPOLLERR`).
-    pub fn is_error(&self) -> bool {
-        self.error
     }
 
     /// The peer closed its end (`EPOLLHUP`/`EPOLLRDHUP`); a read will
@@ -398,7 +392,6 @@ mod sys {
                     token: Token(data as usize),
                     readable: events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP | EPOLLERR) != 0,
                     writable: events & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0,
-                    error: events & EPOLLERR != 0,
                     closed: events & (EPOLLHUP | EPOLLRDHUP) != 0,
                 });
             }
@@ -545,7 +538,6 @@ mod sys {
                     token,
                     readable: r & (POLLIN | POLLHUP | POLLERR) != 0,
                     writable: r & (POLLOUT | POLLHUP | POLLERR) != 0,
-                    error: r & POLLERR != 0,
                     closed: r & POLLHUP != 0,
                 });
             }

@@ -134,20 +134,40 @@ impl Codec for SampleRecord {
         w.put_f64(self.thickness_sigma_m);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
+        // One bounds check for the whole record; every field then sits
+        // at a constant offset of a fixed-size array.
+        let rec = r.take_array::<RECORD_BYTES>()?;
+        let f64_at = |at: usize| f64::from_le_bytes(field(rec, at));
         Ok(SampleRecord {
-            source: r.take_u64()?,
-            along_track_m: r.take_f64()?,
-            lat: r.take_f64()?,
-            lon: r.take_f64()?,
-            x_m: r.take_f64()?,
-            y_m: r.take_f64()?,
-            freeboard_m: r.take_f64()?,
-            class: SurfaceClass::decode(r)?,
-            cell: r.take_u32()?,
-            thickness_m: r.take_f64()?,
-            thickness_sigma_m: r.take_f64()?,
+            source: u64::from_le_bytes(field(rec, 0)),
+            along_track_m: f64_at(8),
+            lat: f64_at(16),
+            lon: f64_at(24),
+            x_m: f64_at(32),
+            y_m: f64_at(40),
+            freeboard_m: f64_at(48),
+            class: SurfaceClass::from_index(usize::from(rec[56]))
+                .ok_or(ArtifactError::Invalid("surface class"))?,
+            cell: u32::from_le_bytes(field(rec, 57)),
+            thickness_m: f64_at(61),
+            thickness_sigma_m: f64_at(69),
         })
     }
+}
+
+/// Encoded size of one [`SampleRecord`], in field order: source(8),
+/// along-track, lat, lon, x, y and freeboard (8 each), class(1),
+/// cell(4), thickness and its σ (8 each).
+const RECORD_BYTES: usize = 8 + 6 * 8 + 1 + 4 + 2 * 8;
+
+/// The `N` bytes at `at` of a record. Every caller passes a constant
+/// offset into the fixed-size array, so once inlined the optimizer
+/// drops the slice bounds check.
+#[inline]
+fn field<const N: usize>(rec: &[u8; RECORD_BYTES], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&rec[at..at + N]);
+    out
 }
 
 /// Freeboard/ice-type/thickness aggregates of one grid cell, derived
@@ -427,6 +447,12 @@ const MAX_CELLS: u32 = MAX_TILE_CELLS as u32 * MAX_TILE_CELLS as u32;
 /// [`LayerPartial`]. Used verbatim by the rebuild after every
 /// merge/decode *and* by [`Tile::check_consistency`], so the invariant
 /// checked is exactly the one maintained.
+///
+/// Canonical order is source-major, so a tile's samples come in runs of
+/// one cell (a track crossing it). The fold looks a cell up once per
+/// run, not once per sample; runs stay in canonical order, so each cell
+/// still receives its samples in that order and every aggregate keeps
+/// its bits.
 fn fold_cells(
     id: TileId,
     base: &BTreeMap<u32, CellAggregate>,
@@ -435,17 +461,24 @@ fn fold_cells(
     let mut cells = base.clone();
     let mut layer = LayerPartial::new(id, 0);
     let mut bearing: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-    for s in samples {
-        cells
-            .entry(s.cell)
-            .or_insert_with(CellAggregate::empty)
-            .push(s);
-        layer.push(s);
-        if s.bears_thickness() {
-            bearing.entry(s.cell).or_default().push(s.thickness_m);
+    for run in samples.chunk_by(|a, b| a.cell == b.cell) {
+        let cell = run[0].cell;
+        let agg = cells.entry(cell).or_insert_with(CellAggregate::empty);
+        for s in run {
+            agg.push(s);
+            layer.push(s);
+        }
+        if run.iter().any(SampleRecord::bears_thickness) {
+            let thick = run.iter().filter(|s| s.bears_thickness());
+            bearing
+                .entry(cell)
+                .or_default()
+                .extend(thick.map(|s| s.thickness_m));
         }
     }
     for (cell, mut v) in bearing {
+        // A total order, so the sorted sequence (and the p95) does not
+        // depend on the order runs appended their values.
         v.sort_by(|a, b| a.total_cmp(b));
         let p95 = seaice::stats::percentile_nearest_rank(&v, 0.95);
         let agg = cells.get_mut(&cell).expect("bearing cell was pushed");
@@ -711,40 +744,40 @@ impl Codec for Tile {
         if n > r.remaining() {
             return Err(ArtifactError::Truncated);
         }
-        let mut samples = Vec::with_capacity(n);
+        // One pass validates every record as it is read: the cell bound,
+        // canonical order against the previous record, ledger coverage
+        // at each change of source (canonical order is source-major),
+        // and the bearing count. `check_consistency` remains the full
+        // audit for `validate()`; the rebuild below derives the
+        // aggregates.
+        let mut samples: Vec<SampleRecord> = Vec::with_capacity(n);
+        let mut counted = 0u64;
+        let mut n_sources = 0usize;
         for _ in 0..n {
             let s = SampleRecord::decode(r)?;
             if s.cell >= MAX_CELLS {
                 return Err(ArtifactError::Invalid("sample cell beyond any grid"));
             }
-            samples.push(s);
-        }
-        let counted = samples.iter().filter(|s| s.bears_thickness()).count() as u64;
-        if counted != n_thickness {
-            return Err(ArtifactError::Invalid(
-                "header thickness count inconsistent with samples",
-            ));
-        }
-        if !samples
-            .windows(2)
-            .all(|w| SampleRecord::canonical_cmp(&w[0], &w[1]) != std::cmp::Ordering::Greater)
-        {
-            return Err(ArtifactError::Invalid("tile samples out of order"));
-        }
-        // Canonical order is source-major, so one pass over the distinct
-        // sample sources validates ledger coverage without re-folding the
-        // aggregates (the rebuild below already derives them;
-        // `check_consistency` remains the full audit for `validate()`).
-        let mut n_sources = 0usize;
-        let mut last: Option<u64> = None;
-        for s in &samples {
-            if last != Some(s.source) {
-                last = Some(s.source);
+            counted += u64::from(s.bears_thickness());
+            let new_source = match samples.last() {
+                Some(prev) if SampleRecord::canonical_cmp(prev, &s).is_gt() => {
+                    return Err(ArtifactError::Invalid("tile samples out of order"));
+                }
+                Some(prev) => prev.source != s.source,
+                None => true,
+            };
+            if new_source {
                 n_sources += 1;
                 if ledger.binary_search(&s.source).is_err() {
                     return Err(ArtifactError::Invalid("sample source missing from ledger"));
                 }
             }
+            samples.push(s);
+        }
+        if counted != n_thickness {
+            return Err(ArtifactError::Invalid(
+                "header thickness count inconsistent with samples",
+            ));
         }
         let base_cells: Vec<(u32, CellAggregate)> = Vec::decode(r)?;
         if !base_cells.windows(2).all(|w| w[0].0 < w[1].0) {
@@ -1207,6 +1240,313 @@ mod tests {
         std::fs::write(&path, &long).unwrap();
         assert!(matches!(Tile::peek(&path), Err(ArtifactError::Truncated)));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Offset of the first sample record in a tile of `n_ledger`
+    /// sources: tag(4) + format version(2) + id(9) + time(3) + merge
+    /// counter(8) + thickness count(8) + ledger(8 + 8·n) + sample
+    /// count(8).
+    fn samples_at(n_ledger: usize) -> usize {
+        4 + 2 + 9 + 3 + 8 + 8 + (8 + 8 * n_ledger) + 8
+    }
+
+    /// Sources 1, 2 and 3 with one bearing sample, so every header
+    /// field and record field holds something non-trivial.
+    fn small_tile() -> Tile {
+        let mut tile = Tile::new(
+            TileId::new(3, 7, 2).unwrap(),
+            TimeKey::new(2019, 9).unwrap(),
+        );
+        tile.merge(&batch_a());
+        tile.merge(&batch_b());
+        tile.merge(&[thick_sample(3, 9.0, 0.45, 2, 2.25, 0.4)]);
+        tile
+    }
+
+    fn decode_err(bytes: &[u8]) -> ArtifactError {
+        match Tile::from_bytes(bytes) {
+            Ok(_) => panic!("corrupt tile decoded"),
+            Err(e) => e,
+        }
+    }
+
+    /// The encoded format, pinned: a change to any byte of a tile's
+    /// encoding (field order, width, endianness, section layout) moves
+    /// these hashes.
+    #[test]
+    fn tile_bytes_are_pinned() {
+        let tile = small_tile();
+        let bytes = tile.to_bytes();
+        assert_eq!(bytes.len(), samples_at(3) + 6 * 77 + 8);
+        assert_eq!(crate::fnv1a(bytes.iter().copied()), 0xfb33_bd05_85f0_884e);
+
+        let mut frozen = tile;
+        frozen.freeze_detail();
+        frozen.merge(&[thick_sample(9, 1.0, 0.5, 5, 1.75, 0.3)]);
+        let bytes = frozen.to_bytes();
+        assert_eq!(crate::fnv1a(bytes.iter().copied()), 0x70ed_8c79_5d7d_3e5b);
+        assert_eq!(Tile::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+    }
+
+    #[test]
+    fn header_thickness_count_off_by_one_is_rejected() {
+        let bytes = small_tile().to_bytes();
+        let count = u64::from_le_bytes(bytes[26..34].try_into().unwrap());
+        assert_eq!(count, 1);
+        for wrong in [count - 1, count + 1] {
+            let mut corrupt = bytes.to_vec();
+            corrupt[26..34].copy_from_slice(&wrong.to_le_bytes());
+            assert!(matches!(
+                decode_err(&corrupt),
+                ArtifactError::Invalid("header thickness count inconsistent with samples")
+            ));
+        }
+    }
+
+    #[test]
+    fn sample_source_missing_from_ledger_is_rejected() {
+        for missing in [1, 2, 3] {
+            let mut tile = small_tile();
+            tile.ledger.retain(|&s| s != missing);
+            assert!(matches!(
+                decode_err(&tile.to_bytes()),
+                ArtifactError::Invalid("sample source missing from ledger")
+            ));
+        }
+    }
+
+    #[test]
+    fn ledger_source_without_samples_or_base_is_rejected() {
+        for extra in [0, 4] {
+            let mut tile = small_tile();
+            let at = tile.ledger.binary_search(&extra).unwrap_err();
+            tile.ledger.insert(at, extra);
+            assert!(matches!(
+                decode_err(&tile.to_bytes()),
+                ArtifactError::Invalid("ledger lists a source with no samples and no base")
+            ));
+        }
+        // With a frozen base the same ledger entry is a retired source.
+        let mut frozen = small_tile();
+        frozen.freeze_detail();
+        frozen.ledger.push(4);
+        Tile::from_bytes(&frozen.to_bytes()).unwrap();
+    }
+
+    #[test]
+    fn base_cells_out_of_order_are_rejected() {
+        let mut tile = small_tile();
+        tile.freeze_detail();
+        assert_eq!(tile.base().len(), 4);
+        // The base section ends the file: a count, then one
+        // cell(4) + aggregate(104) entry per cell. Swap the last two.
+        let bytes = tile.to_bytes();
+        let entry = 4 + 104;
+        let b = bytes.len() - entry;
+        let a = b - entry;
+        let mut corrupt = bytes.to_vec();
+        let tmp = corrupt[a..b].to_vec();
+        corrupt.copy_within(b.., a);
+        corrupt[b..].copy_from_slice(&tmp);
+        assert!(matches!(
+            decode_err(&corrupt),
+            ArtifactError::Invalid("tile base cells out of order")
+        ));
+        // A duplicated cell is out of order too.
+        let mut dup = bytes.to_vec();
+        dup.copy_within(a..a + 4, b);
+        assert!(matches!(
+            decode_err(&dup),
+            ArtifactError::Invalid("tile base cells out of order")
+        ));
+    }
+
+    #[test]
+    fn class_byte_beyond_the_classes_is_rejected() {
+        let bytes = small_tile().to_bytes();
+        for record in 0..6 {
+            let class_at = samples_at(3) + 77 * record + 56;
+            for class in [3u8, 255] {
+                let mut corrupt = bytes.to_vec();
+                corrupt[class_at] = class;
+                assert!(matches!(
+                    decode_err(&corrupt),
+                    ArtifactError::Invalid("surface class")
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn records_cut_at_every_length_are_truncated() {
+        let bytes = small_tile().to_bytes();
+        for record in [0, 5] {
+            let start = samples_at(3) + 77 * record;
+            for len in 0..77 {
+                assert!(matches!(
+                    decode_err(&bytes[..start + len]),
+                    ArtifactError::Truncated
+                ));
+            }
+        }
+    }
+
+    /// Per-sample reference for [`fold_cells`]: one map lookup per
+    /// sample, every cell's bearing thicknesses sorted for the p95.
+    fn reference_fold(
+        id: TileId,
+        base: &BTreeMap<u32, CellAggregate>,
+        samples: &[SampleRecord],
+    ) -> (BTreeMap<u32, CellAggregate>, LayerPartial) {
+        let mut cells = base.clone();
+        let mut layer = LayerPartial::new(id, 0);
+        let mut bearing: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+        for s in samples {
+            cells
+                .entry(s.cell)
+                .or_insert_with(CellAggregate::empty)
+                .push(s);
+            layer.push(s);
+            if s.bears_thickness() {
+                bearing.entry(s.cell).or_default().push(s.thickness_m);
+            }
+        }
+        for (cell, mut v) in bearing {
+            v.sort_by(|a, b| a.total_cmp(b));
+            let p95 = seaice::stats::percentile_nearest_rank(&v, 0.95);
+            let agg = cells.get_mut(&cell).unwrap();
+            agg.t_p95_m = agg.t_p95_m.max(p95);
+        }
+        (cells, layer)
+    }
+
+    fn aggregate_bits(c: &CellAggregate) -> [u64; 13] {
+        [
+            c.n,
+            c.class_counts[0],
+            c.class_counts[1],
+            c.class_counts[2],
+            c.ice_n,
+            c.ice_sum_m.to_bits(),
+            c.min_freeboard_m.to_bits(),
+            c.max_freeboard_m.to_bits(),
+            c.t_n,
+            c.t_sum_m.to_bits(),
+            c.t_w_sum.to_bits(),
+            c.t_wt_sum.to_bits(),
+            c.t_p95_m.to_bits(),
+        ]
+    }
+
+    fn partial_bits(p: &LayerPartial) -> Vec<u64> {
+        let m = &p.moments;
+        let mut bits = vec![
+            m.n_samples,
+            m.class_counts[0],
+            m.class_counts[1],
+            m.class_counts[2],
+            m.n_ice,
+            m.ice_sum_m.to_bits(),
+            m.min_freeboard_m.to_bits(),
+            m.max_freeboard_m.to_bits(),
+            m.t_n,
+            m.t_sum_m.to_bits(),
+            m.t_w_sum.to_bits(),
+            m.t_wt_sum.to_bits(),
+            p.map.min.x.to_bits(),
+            p.map.min.y.to_bits(),
+            p.map.max.x.to_bits(),
+            p.map.max.y.to_bits(),
+            p.geo.lat_min.to_bits(),
+            p.geo.lat_max.to_bits(),
+            p.geo.lon_min.to_bits(),
+            p.geo.lon_max.to_bits(),
+            u64::from(p.non_finite),
+        ];
+        bits.extend(&p.cells);
+        bits
+    }
+
+    /// Two sources cross cell 7, so canonical (source-major) order
+    /// visits it in two separate runs, each holding bearing samples.
+    /// The fold over runs equals the per-sample reference bit for bit,
+    /// the p95 included, with and without a frozen base.
+    #[test]
+    fn fold_per_run_matches_per_sample_reference() {
+        let mut batch = Vec::new();
+        for (source, cells) in [(11u64, [3u32, 7, 7, 9]), (12, [1, 7, 7, 7])] {
+            for (i, &cell) in cells.iter().enumerate() {
+                let along = i as f64 * 2.0;
+                let fb = 0.1 + 0.07 * (source as f64 - 10.0) + 0.013 * i as f64;
+                let mut s = thick_sample(
+                    source,
+                    along,
+                    fb,
+                    cell,
+                    1.0 + fb * 7.3,
+                    0.2 + 0.05 * i as f64,
+                );
+                s.lat = -74.0 - 0.001 * i as f64;
+                s.lon = -160.0 + 0.002 * source as f64;
+                s.x_m = 1.0e5 + along;
+                s.y_m = -2.0e5 - fb;
+                if i == 1 {
+                    s = SampleRecord {
+                        thickness_m: 0.0,
+                        thickness_sigma_m: 0.0,
+                        class: SurfaceClass::OpenWater,
+                        ..s
+                    };
+                }
+                batch.push(s);
+            }
+        }
+        let mut tile = Tile::new(
+            TileId::new(4, 2, 9).unwrap(),
+            TimeKey::new(2019, 10).unwrap(),
+        );
+        tile.merge(&batch);
+        let runs: Vec<(u64, u32)> = tile
+            .samples()
+            .chunk_by(|a, b| a.cell == b.cell)
+            .map(|run| (run[0].source, run[0].cell))
+            .collect();
+        assert_eq!(runs.iter().filter(|&&(_, c)| c == 7).count(), 2);
+        let c7: Vec<&SampleRecord> = tile.samples().iter().filter(|s| s.cell == 7).collect();
+        assert!(c7.iter().any(|s| s.source == 11 && s.bears_thickness()));
+        assert!(c7.iter().any(|s| s.source == 12 && s.bears_thickness()));
+
+        let check = |tile: &Tile| {
+            let (cells, partial) = reference_fold(tile.id, &tile.base, tile.samples());
+            let got: Vec<(u32, [u64; 13])> = tile
+                .cells()
+                .iter()
+                .map(|(&c, a)| (c, aggregate_bits(a)))
+                .collect();
+            let want: Vec<(u32, [u64; 13])> =
+                cells.iter().map(|(&c, a)| (c, aggregate_bits(a))).collect();
+            assert_eq!(got, want);
+            assert_eq!(partial_bits(tile.partial()), partial_bits(&partial));
+            tile.check_consistency().unwrap();
+            let back = Tile::from_bytes(&tile.to_bytes()).unwrap();
+            assert_eq!(back.cells(), tile.cells());
+            assert_eq!(partial_bits(back.partial()), partial_bits(&partial));
+        };
+        check(&tile);
+        assert_eq!(tile.cells()[&7].t_n, 3);
+
+        // A frozen base under cell 7, then both sources again on top.
+        tile.freeze_detail();
+        let again: Vec<SampleRecord> = batch
+            .iter()
+            .map(|s| SampleRecord {
+                along_track_m: s.along_track_m + 1.0,
+                thickness_m: s.thickness_m * 1.5,
+                ..*s
+            })
+            .collect();
+        tile.merge(&again);
+        check(&tile);
     }
 
     #[test]

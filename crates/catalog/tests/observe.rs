@@ -544,7 +544,7 @@ fn gauges_and_histograms_stay_exact_under_multiplexing() {
     }
     // A *served* scrape counts itself, so its own in-flight reading is
     // ≥ 1 by construction; quiescence is asserted out of band, straight
-    // off the server's registry once the completion queue drains.
+    // off the server's registry once the worker that ran the scrape is done.
     assert!(count_of(&settled, "server_requests_in_flight") >= 1.0);
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {

@@ -52,6 +52,13 @@ impl From<std::io::Error> for ArtifactError {
     }
 }
 
+// The `put_*` / `take_*` primitives below, and the `bytes` cursor calls
+// they wrap, are `#[inline]`: a tile or a wire frame is thousands of
+// fixed-width fields, and the release profile builds without LTO, so
+// without the hint every field read or write is a call across two crates
+// with a length known only at run time. Inlined, a field read is a
+// length check and a load.
+
 /// Append-only encode sink.
 pub struct Writer {
     buf: BytesMut,
@@ -71,36 +78,43 @@ impl Writer {
     }
 
     /// Appends raw bytes.
+    #[inline]
     pub fn put_slice(&mut self, v: &[u8]) {
         self.buf.put_slice(v);
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.put_u16_le(v);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.put_u32_le(v);
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.put_u64_le(v);
     }
 
     /// Appends a little-endian `f32`.
+    #[inline]
     pub fn put_f32(&mut self, v: f32) {
         self.buf.put_f32_le(v);
     }
 
     /// Appends a little-endian `f64`.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.buf.put_f64_le(v);
     }
@@ -124,10 +138,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes left.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.remaining()
     }
 
+    #[inline]
     fn need(&self, n: usize) -> Result<(), ArtifactError> {
         if self.buf.remaining() < n {
             Err(ArtifactError::Truncated)
@@ -137,6 +153,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `n` raw bytes.
+    #[inline]
     pub fn take_slice(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
         self.need(n)?;
         let (head, tail) = self.buf.split_at(n);
@@ -144,37 +161,55 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    /// Reads `N` raw bytes as a fixed-size array: one bounds check, after
+    /// which the caller reads fields at constant offsets with none.
+    #[inline]
+    pub fn take_array<const N: usize>(&mut self) -> Result<&'a [u8; N], ArtifactError> {
+        let (head, tail) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(ArtifactError::Truncated)?;
+        self.buf = tail;
+        Ok(head)
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8, ArtifactError> {
         self.need(1)?;
         Ok(self.buf.get_u8())
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn take_u16(&mut self) -> Result<u16, ArtifactError> {
         self.need(2)?;
         Ok(self.buf.get_u16_le())
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn take_u32(&mut self) -> Result<u32, ArtifactError> {
         self.need(4)?;
         Ok(self.buf.get_u32_le())
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn take_u64(&mut self) -> Result<u64, ArtifactError> {
         self.need(8)?;
         Ok(self.buf.get_u64_le())
     }
 
     /// Reads a little-endian `f32`.
+    #[inline]
     pub fn take_f32(&mut self) -> Result<f32, ArtifactError> {
         self.need(4)?;
         Ok(self.buf.get_f32_le())
     }
 
     /// Reads a little-endian `f64`.
+    #[inline]
     pub fn take_f64(&mut self) -> Result<f64, ArtifactError> {
         self.need(8)?;
         Ok(self.buf.get_f64_le())

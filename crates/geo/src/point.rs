@@ -60,12 +60,31 @@ impl MapPoint {
 }
 
 /// Normalises a longitude in degrees into `[-180, 180]`.
+///
+/// A longitude already in `[-180, 180)` skips the floating-point
+/// remainder (a libm call): `x % 360` is exactly `x` for `0 <= x < 360`,
+/// so both branches give the same bits.
+#[inline]
 pub fn normalize_lon(lon: f64) -> f64 {
-    let mut l = (lon + 180.0) % 360.0;
+    let shifted = lon + 180.0;
+    let mut l = if (0.0..360.0).contains(&shifted) {
+        shifted
+    } else {
+        rem_360(shifted)
+    };
     if l < 0.0 {
         l += 360.0;
     }
     l - 180.0
+}
+
+/// The remainder off [`normalize_lon`]'s common path. Out of line, so
+/// the compiler cannot turn the branch into a select that computes the
+/// remainder for every longitude.
+#[cold]
+#[inline(never)]
+fn rem_360(x: f64) -> f64 {
+    x % 360.0
 }
 
 /// Compass direction of a displacement vector `(dx, dy)` in a projected
@@ -96,6 +115,40 @@ mod tests {
                 || (normalize_lon(540.0) + 180.0).abs() < 1e-9
         );
         assert_eq!(normalize_lon(0.0), 0.0);
+    }
+
+    /// The in-range shortcut gives the bits of the plain remainder
+    /// formula, on and off the common path.
+    #[test]
+    fn longitude_shortcut_matches_the_remainder_formula() {
+        let plain = |lon: f64| {
+            let mut l = (lon + 180.0) % 360.0;
+            if l < 0.0 {
+                l += 360.0;
+            }
+            l - 180.0
+        };
+        let mut lons = vec![
+            -180.0,
+            180.0,
+            -0.0,
+            0.0,
+            1e-300,
+            -1e-300,
+            179.999_999_999_999_97,
+            -180.000_000_000_000_03,
+            540.0,
+            -540.0,
+            1e12,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        lons.extend((-4000..4000).map(|i| i as f64 * 0.137_1));
+        for lon in lons {
+            assert_eq!(normalize_lon(lon).to_bits(), plain(lon).to_bits(), "{lon}");
+        }
     }
 
     #[test]

@@ -15,59 +15,77 @@ pub trait Buf {
     fn copy_to_slice(&mut self, dst: &mut [u8]);
 
     /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
+    fn get_u8(&mut self) -> u8;
     /// Reads a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-
+    fn get_u16_le(&mut self) -> u16;
     /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
+    fn get_u32_le(&mut self) -> u32;
     /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
+    fn get_u64_le(&mut self) -> u64;
 
     /// Reads a little-endian `f64`.
+    #[inline]
     fn get_f64_le(&mut self) -> f64 {
         f64::from_bits(self.get_u64_le())
     }
 
     /// Reads a little-endian `f32`.
+    #[inline]
     fn get_f32_le(&mut self) -> f32 {
         f32::from_bits(self.get_u32_le())
     }
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end of buffer");
         *self = &self[n..];
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(dst.len() <= self.len(), "copy past end of buffer");
         dst.copy_from_slice(&self[..dst.len()]);
         *self = &self[dst.len()..];
     }
+
+    #[inline]
+    fn get_u8(&mut self) -> u8 {
+        u8::from_le_bytes(take_chunk(self))
+    }
+
+    #[inline]
+    fn get_u16_le(&mut self) -> u16 {
+        u16::from_le_bytes(take_chunk(self))
+    }
+
+    #[inline]
+    fn get_u32_le(&mut self) -> u32 {
+        u32::from_le_bytes(take_chunk(self))
+    }
+
+    #[inline]
+    fn get_u64_le(&mut self) -> u64 {
+        u64::from_le_bytes(take_chunk(self))
+    }
+}
+
+/// Splits the first `N` bytes off `buf`: a fixed-width read, one
+/// length check against a constant and a copy of known size, where
+/// `copy_to_slice` takes a length known only at run time.
+#[inline]
+fn take_chunk<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let Some((head, tail)) = buf.split_first_chunk::<N>() else {
+        panic!("copy past end of buffer");
+    };
+    *buf = tail;
+    *head
 }
 
 /// Write cursor over a growable byte sink.
@@ -76,31 +94,37 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `f64`.
+    #[inline]
     fn put_f64_le(&mut self, v: f64) {
         self.put_u64_le(v.to_bits());
     }
 
     /// Appends a little-endian `f32`.
+    #[inline]
     fn put_f32_le(&mut self, v: f32) {
         self.put_u32_le(v.to_bits());
     }
@@ -142,6 +166,7 @@ impl BytesMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }

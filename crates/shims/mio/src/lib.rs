@@ -73,7 +73,6 @@ pub struct Event {
     token: Token,
     readable: bool,
     writable: bool,
-    closed: bool,
 }
 
 impl Event {
@@ -82,8 +81,8 @@ impl Event {
         self.token
     }
 
-    /// The source is readable (or has hit EOF — check
-    /// [`Event::is_read_closed`] / read for 0 to distinguish).
+    /// The source is readable, or its peer has closed: a read that
+    /// returns 0 bytes is the end of the stream.
     pub fn is_readable(&self) -> bool {
         self.readable
     }
@@ -91,12 +90,6 @@ impl Event {
     /// The source is writable.
     pub fn is_writable(&self) -> bool {
         self.writable
-    }
-
-    /// The peer closed its end (`EPOLLHUP`/`EPOLLRDHUP`); a read will
-    /// observe EOF.
-    pub fn is_read_closed(&self) -> bool {
-        self.closed
     }
 }
 
@@ -392,7 +385,6 @@ mod sys {
                     token: Token(data as usize),
                     readable: events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP | EPOLLERR) != 0,
                     writable: events & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0,
-                    closed: events & (EPOLLHUP | EPOLLRDHUP) != 0,
                 });
             }
             Ok(())
@@ -538,7 +530,6 @@ mod sys {
                     token,
                     readable: r & (POLLIN | POLLHUP | POLLERR) != 0,
                     writable: r & (POLLOUT | POLLHUP | POLLERR) != 0,
-                    closed: r & POLLHUP != 0,
                 });
             }
             Ok(())

@@ -6,21 +6,17 @@
 //! the downscaled-reanalysis snow models, and the per-term variance
 //! budget is aggregated to show which input dominates the thickness
 //! uncertainty (on snow-loaded Antarctic ice: the snow depth). The same
-//! enrichment then runs fleet-side: each model's thickness products
-//! land in their own catalog (one via the single-call
-//! [`CatalogSink::classify_thickness_into_catalog`] path, one via
-//! explicit [`enrich_fleet`] + ingest), the stores answer gridded
-//! thickness queries, and a TCP server round-trip asserts the served
-//! answers are **bit-identical** to the in-process ones under both
-//! models — the acceptance criterion for the thickness-bearing tile
-//! format.
+//! enrichment then runs fleet-side: one fleet classification is
+//! enriched under each model ([`enrich_fleet`]) and landed in that
+//! model's own catalog, the stores answer gridded thickness queries,
+//! and a TCP server round-trip asserts the served answers are
+//! **bit-identical** to the in-process ones under both models — the
+//! acceptance criterion for the thickness-bearing tile format.
 
 use std::sync::Arc;
 
 use seaice::FleetDriver;
-use seaice_catalog::{
-    Catalog, CatalogClient, CatalogServer, CatalogSink, GridConfig, QuerySummary, TimeRange,
-};
+use seaice_catalog::{Catalog, CatalogClient, CatalogServer, GridConfig, QuerySummary, TimeRange};
 use seaice_products::{
     enrich_fleet, BeamThickness, ClimatologySnow, ProductSet, ReanalysisSnow, SnowDepthModel,
     ThicknessRetrieval, VarianceBudget,
@@ -134,12 +130,12 @@ pub fn thickness(scale: Scale) -> ExperimentOutput {
     let sources = FleetDriver::write_fleet(pipeline, &fleet_dir, n_granules).expect("fleet files");
     let driver = FleetDriver::new(Cluster::new(2, 2), &pipeline.cfg);
     let (products, _) = driver.classify_run(&sources, &run.models);
-    let enriched: Vec<BeamThickness> =
-        enrich_fleet(&products, &reanalysis, &retrieval).expect("fleet enrichment");
+    let clim_enriched: Vec<BeamThickness> =
+        enrich_fleet(&products, &climatology, &retrieval).expect("climatology enrichment");
+    let rean_enriched: Vec<BeamThickness> =
+        enrich_fleet(&products, &reanalysis, &retrieval).expect("reanalysis enrichment");
 
-    // One catalog per snow model. The climatology store exercises the
-    // single-call sink path (classify → enrich → ingest); the reanalysis
-    // store lands the beams enriched above.
+    // One catalog per snow model.
     let grid = grid_for(&pipeline.cfg);
     let clim_dir = std::env::temp_dir().join(format!("seaice_thick_clim_{tag}"));
     let rean_dir = std::env::temp_dir().join(format!("seaice_thick_rean_{tag}"));
@@ -147,12 +143,12 @@ pub fn thickness(scale: Scale) -> ExperimentOutput {
         let _ = std::fs::remove_dir_all(dir);
     }
     let clim_cat = Catalog::create(&clim_dir, grid).expect("climatology catalog");
-    let (ingest, _) = driver
-        .classify_thickness_into_catalog(&sources, &run.models, &climatology, &retrieval, &clim_cat)
-        .expect("classify thickness into catalog");
+    let ingest = clim_cat
+        .ingest_thickness_products(&clim_enriched)
+        .expect("climatology ingest");
     let rean_cat = Catalog::create(&rean_dir, grid).expect("reanalysis catalog");
     let rean_ingest = rean_cat
-        .ingest_thickness_products(&enriched)
+        .ingest_thickness_products(&rean_enriched)
         .expect("reanalysis ingest");
     assert_eq!(ingest.n_samples, rean_ingest.n_samples);
 

@@ -11,17 +11,17 @@
 //! running the query on a single in-process catalog holding all the
 //! data (pinned by `tests/served_equivalence.rs`).
 //!
-//! The client speaks protocol v2: every request frame carries a fresh
-//! request id, and the server may answer in-flight requests **out of
-//! order**. The `submit_*` methods expose that directly — each returns
-//! a typed [`Pending`] handle, many can be outstanding on one
-//! connection, and [`CatalogClient::wait`] collects them in any order
-//! (frames for other requests are demultiplexed into their slots as
-//! they arrive). The plain query methods are a sync facade over the
-//! same machinery (submit immediately followed by wait), so a
-//! non-pipelining caller sees exactly the v1 one-exchange-at-a-time
-//! behaviour. Pipelined answers are bit-identical to in-process
-//! queries (pinned by `tests/pipelined_equivalence.rs`).
+//! The client speaks the request-id framing of `docs/PROTOCOL.md` §2:
+//! every request frame carries a fresh request id, and the server may
+//! answer in-flight requests **out of order**. The `submit_*` methods
+//! expose that directly — each returns a typed [`Pending`] handle, many
+//! can be outstanding on one connection, and [`CatalogClient::wait`]
+//! collects them in any order (frames for other requests are
+//! demultiplexed into their slots as they arrive). The plain query
+//! methods are a sync facade over the same machinery (submit
+//! immediately followed by wait), so a non-pipelining caller sees
+//! exactly one exchange at a time. Pipelined answers are bit-identical
+//! to in-process queries (pinned by `tests/pipelined_equivalence.rs`).
 //!
 //! Both layers degrade gracefully instead of hanging (pinned by
 //! `tests/chaos.rs`):
@@ -938,29 +938,6 @@ impl CatalogClient {
         self.exchange(&request, Finish::Scalar(ingested))
     }
 
-    /// Served [`crate::Catalog::ingest_thickness_beam`]: Skip-mode
-    /// duplicate policy.
-    pub fn ingest_thickness_beam(
-        &mut self,
-        beam: &BeamThickness,
-    ) -> Result<IngestReport, CatalogError> {
-        self.ingest_thickness_beam_with(beam, IngestMode::Skip)
-    }
-
-    /// [`CatalogClient::ingest_thickness_beam`] with an explicit
-    /// re-ingest policy.
-    pub fn ingest_thickness_beam_with(
-        &mut self,
-        beam: &BeamThickness,
-        mode: IngestMode,
-    ) -> Result<IngestReport, CatalogError> {
-        let beam = beam.clone();
-        self.exchange(
-            &Request::IngestThickness { mode, beam },
-            Finish::Scalar(ingested),
-        )
-    }
-
     // -- The pipelined submit API -----------------------------------------
 
     /// Pipelined [`CatalogClient::query_rect`]: submits without
@@ -1777,7 +1754,7 @@ pub fn partition_products(
 
 /// [`partition_product`] for thickness-enriched beams: the snow and
 /// thickness fields travel verbatim, so per-shard
-/// [`crate::Catalog::ingest_thickness_beam`] calls land the same
+/// [`crate::Catalog::ingest_thickness_beam_with`] calls land the same
 /// canonical samples a monolithic catalog would.
 pub fn partition_thickness(
     grid: &GridConfig,

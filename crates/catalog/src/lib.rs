@@ -20,8 +20,10 @@
 //!   through;
 //! - [`store`] — [`Catalog`]: sharded rayon-parallel ingest, atomic tile
 //!   replacement, and the query API (bbox, rect, point, time-range,
-//!   gridded cells, summary stats), plus [`CatalogSink`] wiring
-//!   [`seaice::FleetDriver`] straight into a catalog.
+//!   gridded cells, summary stats). A fleet run lands by
+//!   [`seaice::FleetDriver::classify_run`] (then
+//!   [`seaice_products::enrich_fleet`] for thickness) and one ingest
+//!   call per product shape.
 //!
 //! - [`mod@compact`] — offline compaction: rewrite a catalog at a new grid
 //!   (re-binning every sample), fold monthly layers into seasonal ones,
@@ -82,8 +84,8 @@ pub use grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
 pub use lease::{LeaseOptions, LeaseRecord, WriterLease};
 pub use server::{CatalogServer, ServerConfig, ServerStats};
 pub use store::{
-    Catalog, CatalogOptions, CatalogSink, CatalogStats, CellSummary, IngestMode, IngestReport,
-    QuerySummary, TilePartial,
+    Catalog, CatalogOptions, CatalogStats, CellSummary, IngestMode, IngestReport, QuerySummary,
+    TilePartial,
 };
 pub use tile::{CatalogManifest, CellAggregate, SampleRecord, Tile};
 
@@ -136,9 +138,6 @@ pub enum CatalogError {
         /// Human-readable remote error description.
         message: String,
     },
-    /// Thickness enrichment rejected its inputs before ingest (see
-    /// [`seaice_products::ProductError`]) — nothing was written.
-    Product(seaice_products::ProductError),
     /// A served request exceeded its configured deadline
     /// ([`client::ClientConfig::request_deadline`]). The connection is
     /// torn down (the exchange may be mid-stream) and rebuilt on the
@@ -200,7 +199,6 @@ impl std::fmt::Display for CatalogError {
             CatalogError::Remote { code, message } => {
                 write!(f, "catalog server error {code}: {message}")
             }
-            CatalogError::Product(e) => write!(f, "catalog product error: {e}"),
             CatalogError::Timeout { after } => {
                 write!(f, "request deadline exceeded ({:.3}s)", after.as_secs_f64())
             }
@@ -242,12 +240,6 @@ impl From<std::io::Error> for CatalogError {
 impl From<seaice::ArtifactError> for CatalogError {
     fn from(e: seaice::ArtifactError) -> Self {
         CatalogError::Artifact(e)
-    }
-}
-
-impl From<seaice_products::ProductError> for CatalogError {
-    fn from(e: seaice_products::ProductError) -> Self {
-        CatalogError::Product(e)
     }
 }
 

@@ -12,7 +12,7 @@
 //! completion order — so responses to pipelined requests may return
 //! **out of order** and streamed batches of different requests
 //! **interleave**, each frame carrying the request id that routes it
-//! (protocol v2, `docs/PROTOCOL.md`).
+//! (the request-id framing of `docs/PROTOCOL.md` §2).
 //!
 //! Every query-path request goes through one dispatch arm:
 //! [`Catalog::execute`] answers it as [`crate::wire::Records`] and the
@@ -23,13 +23,12 @@
 //! multiplexed over one — bit-identical to the single-process answer.
 //!
 //! With [`ServerConfig::allow_writes`], the server also executes
-//! **served writes** ([`crate::wire::Request::IngestSamples`] /
-//! [`crate::wire::Request::IngestThickness`]): a remote producer
-//! streams products at this server and the merge runs under the
-//! server's own catalog handle — and therefore under its writer lease,
-//! with the same self-fencing rules as an in-process ingest. Servers
-//! default to read-only and answer write RPCs with a typed
-//! [`crate::wire::ERR_READ_ONLY`] error frame.
+//! **served writes** ([`crate::wire::Request::IngestSamples`]): a
+//! remote producer streams freeboard products at this server and the
+//! merge runs under the server's own catalog handle — and therefore
+//! under its writer lease, with the same self-fencing rules as an
+//! in-process ingest. Servers default to read-only and answer write
+//! RPCs with a typed [`crate::wire::ERR_READ_ONLY`] error frame.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -80,11 +79,10 @@ pub struct ServerConfig {
     /// Requests beyond this many run concurrently queue FIFO
     /// (`server_worker_queue_depth`).
     pub workers: usize,
-    /// Accept served-write RPCs (`IngestSamples` / `IngestThickness`),
-    /// executing merges under this server's own catalog handle (and
-    /// writer lease). Off by default: a read-only server answers write
-    /// RPCs with a typed [`ERR_READ_ONLY`] error frame and the
-    /// connection survives.
+    /// Accept the served-write RPC (`IngestSamples`), executing merges
+    /// under this server's own catalog handle (and writer lease). Off
+    /// by default: a read-only server answers write RPCs with a typed
+    /// [`ERR_READ_ONLY`] error frame and the connection survives.
     pub allow_writes: bool,
 }
 
@@ -962,19 +960,6 @@ fn respond(
             let merged = {
                 let _span = trace.as_ref().map(|t| t.span("ingest"));
                 catalog.ingest_beam_with(&granule_id, beam as usize, &product, mode)
-            };
-            match merged {
-                Ok(report) => sink.send(&Response::Ingested(report)),
-                Err(e) => fail(sink, counters, e),
-            }
-        }
-        Request::IngestThickness { mode, beam } => {
-            if !config.allow_writes {
-                return read_only(sink, counters);
-            }
-            let merged = {
-                let _span = trace.as_ref().map(|t| t.span("ingest"));
-                catalog.ingest_thickness_beam_with(&beam, mode)
             };
             match merged {
                 Ok(report) => sink.send(&Response::Ingested(report)),

@@ -38,17 +38,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use icesat_atl03::Beam;
 use icesat_geo::{BoundingBox, GeoPoint, MapPoint, EPSG_3976};
 use rayon::prelude::*;
 use seaice::artifact::Artifact;
 use seaice::fleet::BeamProducts;
-use seaice::freeboard::FreeboardProduct;
-use seaice::stages::TrainedModels;
-use seaice::FleetDriver;
+use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_obs::{Counter, Histogram, MetricRegistry};
-use seaice_products::{BeamThickness, SnowDepthModel, ThicknessRetrieval};
-use sparklite::StageReport;
+use seaice_products::BeamThickness;
 
 use crate::cache::{CacheStats, TileCache, TileKey};
 use crate::grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
@@ -809,100 +805,58 @@ impl Catalog {
         product: &FreeboardProduct,
         mode: IngestMode,
     ) -> Result<IngestReport, CatalogError> {
-        let grid = self.grid;
         let points = &product.points;
-        self.ingest_source(granule_id, beam_index, points.len(), mode, |i, source| {
-            let p = points[i];
-            let m = EPSG_3976.forward(GeoPoint::new(p.lat, p.lon));
-            grid.locate(m).map(|(tile, cell)| {
-                (
-                    tile,
-                    SampleRecord {
-                        source,
-                        along_track_m: p.along_track_m,
-                        lat: p.lat,
-                        lon: p.lon,
-                        x_m: m.x,
-                        y_m: m.y,
-                        freeboard_m: p.freeboard_m,
-                        class: p.class,
-                        cell,
-                        thickness_m: 0.0,
-                        thickness_sigma_m: 0.0,
-                    },
-                )
-            })
+        self.ingest_source(granule_id, beam_index, points.len(), mode, |i| {
+            (points[i], [0.0, 0.0])
         })
     }
 
     /// Ingests one beam's thickness-enriched product
-    /// ([`BeamThickness`], from [`seaice_products::enrich_fleet`]) in
-    /// the default [`IngestMode::Skip`]. The source identity is the
-    /// same `(granule, beam)` id the plain freeboard ingest uses, so a
-    /// catalog already holding the freeboard-only samples skips the
-    /// enriched ones — re-land them with
-    /// [`Catalog::ingest_thickness_beam_with`] and
-    /// [`IngestMode::Replace`], which upgrades the source in place.
-    pub fn ingest_thickness_beam(
-        &self,
-        beam: &BeamThickness,
-    ) -> Result<IngestReport, CatalogError> {
-        self.ingest_thickness_beam_with(beam, IngestMode::Skip)
-    }
-
-    /// [`Catalog::ingest_thickness_beam`] with an explicit re-ingest
-    /// policy. Ice samples carry `(thickness_m, thickness_sigma_m)`
-    /// from the hydrostatic retrieval; open-water samples land with
-    /// both zero (not thickness-bearing), exactly as
+    /// ([`BeamThickness`], from [`seaice_products::enrich_fleet`]). The
+    /// source identity is the same `(granule, beam)` id the plain
+    /// freeboard ingest uses, so under [`IngestMode::Skip`] a catalog
+    /// already holding the freeboard-only samples skips the enriched
+    /// ones, and [`IngestMode::Replace`] upgrades the source in place.
+    /// Ice samples carry `(thickness_m, thickness_sigma_m)` from the
+    /// hydrostatic retrieval; open-water samples land with both zero
+    /// (not thickness-bearing), exactly as
     /// [`seaice_products::ProductSet`] derives them.
     pub fn ingest_thickness_beam_with(
         &self,
         beam: &BeamThickness,
         mode: IngestMode,
     ) -> Result<IngestReport, CatalogError> {
-        let grid = self.grid;
         let points = &beam.points;
         self.ingest_source(
             &beam.granule_id,
             beam.beam.index(),
             points.len(),
             mode,
-            |i, source| {
+            |i| {
                 let p = &points[i];
-                let m = EPSG_3976.forward(GeoPoint::new(p.lat, p.lon));
-                grid.locate(m).map(|(tile, cell)| {
-                    (
-                        tile,
-                        SampleRecord {
-                            source,
-                            along_track_m: p.along_track_m,
-                            lat: p.lat,
-                            lon: p.lon,
-                            x_m: m.x,
-                            y_m: m.y,
-                            freeboard_m: p.freeboard_m,
-                            class: p.class,
-                            cell,
-                            thickness_m: p.thickness_m,
-                            thickness_sigma_m: p.thickness_sigma_m,
-                        },
-                    )
-                })
+                let at = FreeboardPoint {
+                    along_track_m: p.along_track_m,
+                    lat: p.lat,
+                    lon: p.lon,
+                    freeboard_m: p.freeboard_m,
+                    class: p.class,
+                };
+                (at, [p.thickness_m, p.thickness_sigma_m])
             },
         )
     }
 
-    /// Shared ingest spine: lease heartbeat, rayon projection fan-out
-    /// through `locate`, grouped per-tile merges and the `Replace`
-    /// sweep — everything except how a point becomes a
-    /// [`SampleRecord`].
+    /// Shared ingest spine: lease heartbeat, rayon-parallel EPSG-3976
+    /// projection and `locate` of every point into a [`SampleRecord`],
+    /// grouped per-tile merges and the `Replace` sweep. `point(i)`
+    /// yields sample `i` and its `[thickness_m, thickness_sigma_m]`.
     fn ingest_source(
         &self,
         granule_id: &str,
         beam_index: usize,
         n_points: usize,
         mode: IngestMode,
-        locate: impl Fn(usize, u64) -> Option<(TileId, SampleRecord)> + Sync,
+        point: impl Fn(usize) -> (FreeboardPoint, [f64; 2]) + Sync,
     ) -> Result<IngestReport, CatalogError> {
         // Injected pause first, so a scripted stall longer than the
         // lease ttl is caught by the heartbeat below: the writer
@@ -918,10 +872,30 @@ impl Catalog {
         let source = SampleRecord::source_id(granule_id, beam_index);
 
         // Project + locate every sample (pure, order-preserving, parallel).
+        let grid = self.grid;
         let stage_t0 = Instant::now();
         let located: Vec<Option<(TileId, SampleRecord)>> = (0..n_points)
             .into_par_iter()
-            .map(|i| locate(i, source))
+            .map(|i| {
+                let (p, [thickness_m, thickness_sigma_m]) = point(i);
+                let m = EPSG_3976.forward(GeoPoint::new(p.lat, p.lon));
+                grid.locate(m).map(|(tile, cell)| {
+                    let sample = SampleRecord {
+                        source,
+                        along_track_m: p.along_track_m,
+                        lat: p.lat,
+                        lon: p.lon,
+                        x_m: m.x,
+                        y_m: m.y,
+                        freeboard_m: p.freeboard_m,
+                        class: p.class,
+                        cell,
+                        thickness_m,
+                        thickness_sigma_m,
+                    };
+                    (tile, sample)
+                })
+            })
             .collect();
         self.metrics.stage_project_us.record(stage_t0.elapsed());
 
@@ -994,13 +968,8 @@ impl Catalog {
         })
     }
 
-    /// Ingests a fleet run's per-beam products in the default
-    /// [`IngestMode::Skip`] (idempotent across fleet re-runs).
-    pub fn ingest_products(&self, products: &[BeamProducts]) -> Result<IngestReport, CatalogError> {
-        self.ingest_products_with(products, IngestMode::Skip)
-    }
-
-    /// [`Catalog::ingest_products`] with an explicit re-ingest policy.
+    /// Ingests a fleet run's per-beam products with one re-ingest
+    /// policy for every beam.
     pub fn ingest_products_with(
         &self,
         products: &[BeamProducts],
@@ -1020,19 +989,9 @@ impl Catalog {
         &self,
         beams: &[BeamThickness],
     ) -> Result<IngestReport, CatalogError> {
-        self.ingest_thickness_products_with(beams, IngestMode::Skip)
-    }
-
-    /// [`Catalog::ingest_thickness_products`] with an explicit
-    /// re-ingest policy.
-    pub fn ingest_thickness_products_with(
-        &self,
-        beams: &[BeamThickness],
-        mode: IngestMode,
-    ) -> Result<IngestReport, CatalogError> {
         let mut report = IngestReport::default();
         for b in beams {
-            let r = self.ingest_thickness_beam_with(b, mode)?;
+            let r = self.ingest_thickness_beam_with(b, IngestMode::Skip)?;
             report.absorb(&r);
         }
         Ok(report)
@@ -1866,73 +1825,10 @@ fn parse_tile_filename(name: &str) -> Option<TileKey> {
     Some(TileKey { time, tile })
 }
 
-// ---------------------------------------------------------------------------
-// Fleet integration.
-// ---------------------------------------------------------------------------
-
-/// Catalog sink for [`FleetDriver`]: classify a fleet and land the
-/// products in a catalog in one call. (Lives here, not in `seaice`,
-/// because the catalog sits above the fleet layer in the crate graph.)
-pub trait CatalogSink {
-    /// Runs [`FleetDriver::classify_run`] over `sources` and ingests
-    /// every resulting beam product into `catalog`.
-    fn classify_into_catalog(
-        &self,
-        sources: &[(PathBuf, Beam)],
-        models: &TrainedModels,
-        catalog: &Catalog,
-    ) -> Result<(IngestReport, StageReport), CatalogError>;
-
-    /// [`CatalogSink::classify_into_catalog`] extended through the
-    /// product family: classifies the fleet, enriches every beam with
-    /// snow depth and hydrostatic thickness + 1-sigma
-    /// ([`seaice_products::enrich_fleet`]), and lands the
-    /// thickness-bearing samples in `catalog` — freeboard → thickness →
-    /// served queries in one call. Enrichment rejecting its inputs
-    /// ([`CatalogError::Product`]) aborts before anything is written.
-    fn classify_thickness_into_catalog(
-        &self,
-        sources: &[(PathBuf, Beam)],
-        models: &TrainedModels,
-        snow: &dyn SnowDepthModel,
-        retrieval: &ThicknessRetrieval,
-        catalog: &Catalog,
-    ) -> Result<(IngestReport, StageReport), CatalogError>;
-}
-
-impl CatalogSink for FleetDriver {
-    fn classify_into_catalog(
-        &self,
-        sources: &[(PathBuf, Beam)],
-        models: &TrainedModels,
-        catalog: &Catalog,
-    ) -> Result<(IngestReport, StageReport), CatalogError> {
-        let (products, report) = self.classify_run(sources, models);
-        let ingest = catalog.ingest_products(&products)?;
-        Ok((ingest, report))
-    }
-
-    fn classify_thickness_into_catalog(
-        &self,
-        sources: &[(PathBuf, Beam)],
-        models: &TrainedModels,
-        snow: &dyn SnowDepthModel,
-        retrieval: &ThicknessRetrieval,
-        catalog: &Catalog,
-    ) -> Result<(IngestReport, StageReport), CatalogError> {
-        let (products, report) = self.classify_run(sources, models);
-        let enriched = seaice_products::enrich_fleet(&products, snow, retrieval)
-            .map_err(CatalogError::Product)?;
-        let ingest = catalog.ingest_thickness_products(&enriched)?;
-        Ok((ingest, report))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use icesat_scene::SurfaceClass;
-    use seaice::freeboard::FreeboardPoint;
 
     fn grid() -> GridConfig {
         GridConfig::new(MapPoint::new(-300_000.0, -1_300_000.0), 10_000.0, 2, 8).unwrap()

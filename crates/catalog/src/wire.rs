@@ -8,7 +8,7 @@
 //! server can reject foreign or future traffic before decoding a single
 //! field, and a non-Rust client can be written from the spec alone.
 //!
-//! Layering (protocol v2 — framing revision 3):
+//! Layering (the frame is `docs/PROTOCOL.md` §2, the messages §3):
 //!
 //! - **Frame**: `u32` little-endian payload length, `u64` little-endian
 //!   FNV-1a checksum of the request id, trace id, and payload, `u64`
@@ -26,13 +26,12 @@
 //!   wrong in-flight request). Artifact magic/version checks alone
 //!   cannot promise that, because a flip inside an `f64` field still
 //!   decodes.
-//! - **Message**: one framed [`Request`] (`SIRQ` v3) or [`Response`]
-//!   (`SIRS` v3). Version 3 is protocol v2: the frame header gained the
-//!   request id and the message set gained the served-write RPCs
-//!   ([`Request::IngestSamples`] / [`Request::IngestThickness`] /
-//!   [`Response::Ingested`]), so both message versions were bumped
-//!   together — a v2 peer fails the version check instead of
-//!   mis-framing the longer header.
+//! - **Message**: one framed [`Request`] (`SIRQ` v4) or [`Response`]
+//!   (`SIRS` v3). Both messages went to version 3 with the request-id
+//!   frame header and the served write ([`Request::IngestSamples`] /
+//!   [`Response::Ingested`]), so an older peer fails the version check
+//!   instead of mis-framing the longer header. Requests went to
+//!   version 4 when the served thickness write (kind 11) was retired.
 //! - **Exchange**: one request, then one or more response frames
 //!   carrying its request id. Streamed record responses (tile
 //!   partials, layer partials, cell summaries) arrive as batch frames
@@ -54,7 +53,6 @@ use std::io::Read;
 use icesat_geo::{BoundingBox, GeoPoint, EPSG_3976};
 use seaice::artifact::{Artifact, ArtifactError, Codec, Reader, Writer};
 use seaice::freeboard::FreeboardProduct;
-use seaice_products::BeamThickness;
 
 use crate::cache::CacheStats;
 use crate::grid::{GridConfig, MapRect, TileId, TileScope, TimeKey, TimeRange};
@@ -329,7 +327,7 @@ pub fn batch_ranges<T: Codec>(
 // Requests.
 // ---------------------------------------------------------------------------
 
-/// One client request (`SIRQ` v3). Every query carries the
+/// One client request (`SIRQ` v4). Every query carries the
 /// [`TileScope`] it is restricted to — the shard router sends each
 /// shard its owned prefixes, so a tile is answered by exactly one
 /// shard even when shard stores overlap.
@@ -420,21 +418,12 @@ pub enum Request {
         /// The freeboard product to merge.
         product: FreeboardProduct,
     },
-    /// Served write of a thickness-enriched beam
-    /// ([`seaice_products::BeamThickness`]); same lease, idempotency,
-    /// and read-only-server semantics as [`Request::IngestSamples`].
-    IngestThickness {
-        /// Re-ingest policy for an already-seen `(granule, beam)`.
-        mode: IngestMode,
-        /// The enriched beam to merge.
-        beam: BeamThickness,
-    },
 }
 
 /// The request-kind table, indexed by wire tag: the `kind` label of
 /// each request kind's server metrics (`server_request_us{kind="…"}`).
 /// [`Request::tag`] gives every request its row; encoding writes it.
-pub const REQUEST_KINDS: [&str; 12] = [
+pub const REQUEST_KINDS: [&str; 11] = [
     "manifest",
     "query_rect",
     "query_bbox",
@@ -446,7 +435,6 @@ pub const REQUEST_KINDS: [&str; 12] = [
     "ping",
     "introspect",
     "ingest_samples",
-    "ingest_thickness",
 ];
 
 impl Request {
@@ -464,7 +452,6 @@ impl Request {
             Request::Ping => 8,
             Request::Introspect => 9,
             Request::IngestSamples { .. } => 10,
-            Request::IngestThickness { .. } => 11,
         }
     }
 
@@ -541,10 +528,6 @@ impl Codec for Request {
                 mode.encode(w);
                 product.encode(w);
             }
-            Request::IngestThickness { mode, beam } => {
-                mode.encode(w);
-                beam.encode(w);
-            }
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
@@ -588,10 +571,6 @@ impl Codec for Request {
                 mode: IngestMode::decode(r)?,
                 product: FreeboardProduct::decode(r)?,
             },
-            11 => Request::IngestThickness {
-                mode: IngestMode::decode(r)?,
-                beam: BeamThickness::decode(r)?,
-            },
             _ => return Err(ArtifactError::Invalid("request kind")),
         })
     }
@@ -599,7 +578,7 @@ impl Codec for Request {
 
 impl Artifact for Request {
     const TAG: [u8; 4] = *b"SIRQ";
-    const VERSION: u16 = 3;
+    const VERSION: u16 = 4;
 }
 
 // ---------------------------------------------------------------------------
@@ -649,8 +628,8 @@ pub enum Response {
     /// (`name{label="v"} value`), parseable with
     /// `seaice_obs::parse_exposition`.
     Metrics(String),
-    /// Served-write reply (answers [`Request::IngestSamples`] /
-    /// [`Request::IngestThickness`]): what the leased merge did.
+    /// Served-write reply (answers [`Request::IngestSamples`]): what
+    /// the leased merge did.
     Ingested(IngestReport),
 }
 
@@ -1221,25 +1200,6 @@ mod tests {
                     }],
                 },
             },
-            Request::IngestThickness {
-                mode: crate::store::IngestMode::Skip,
-                beam: seaice_products::BeamThickness {
-                    granule_id: "20191104195311_05000211".into(),
-                    beam: icesat_atl03::Beam::Gt2l,
-                    snow_model: "climatology".into(),
-                    points: vec![seaice_products::ProductPoint {
-                        along_track_m: 12.0,
-                        lat: -74.25,
-                        lon: -163.5,
-                        freeboard_m: 0.31,
-                        class: icesat_scene::SurfaceClass::ThickIce,
-                        snow_depth_m: 0.12,
-                        snow_sigma_m: 0.04,
-                        thickness_m: 1.7,
-                        thickness_sigma_m: 0.5,
-                    }],
-                },
-            },
         ]
     }
 
@@ -1642,16 +1602,17 @@ mod tests {
         // Future version.
         let mut payload = Vec::new();
         payload.extend_from_slice(b"SIRQ");
-        payload.extend_from_slice(&4u16.to_le_bytes());
+        payload.extend_from_slice(&5u16.to_le_bytes());
         payload.push(0);
         let buf = encode_frame(&payload, 0, 0).unwrap();
         assert!(matches!(
             read_msg::<Request>(&buf),
-            Err(CatalogError::Artifact(ArtifactError::BadVersion(4)))
+            Err(CatalogError::Artifact(ArtifactError::BadVersion(5)))
         ));
-        // Superseded versions: v1 (pre-thickness payload layouts) and
-        // v2 (pre-mux framing, no request ids or write RPCs).
-        for old in [1u16, 2] {
+        // Superseded versions: v1 (pre-thickness payload layouts), v2
+        // (pre-mux framing, no request ids or write RPCs) and v3 (with
+        // the served thickness write, kind 11).
+        for old in [1u16, 2, 3] {
             let mut payload = Vec::new();
             payload.extend_from_slice(b"SIRQ");
             payload.extend_from_slice(&old.to_le_bytes());
@@ -1662,8 +1623,41 @@ mod tests {
                 other => panic!("superseded v{old} decoded as {other:?}"),
             }
         }
+        // Kind 11, once the served thickness write, is an unknown kind
+        // even when a whole thickness-enriched beam follows it.
+        let mut w = Writer::new();
+        w.put_u8(11);
+        crate::store::IngestMode::Skip.encode(&mut w);
+        seaice_products::BeamThickness {
+            granule_id: "20191104195311_05000211".into(),
+            beam: icesat_atl03::Beam::Gt2l,
+            snow_model: "climatology".into(),
+            points: vec![seaice_products::ProductPoint {
+                along_track_m: 12.0,
+                lat: -74.25,
+                lon: -163.5,
+                freeboard_m: 0.31,
+                class: icesat_scene::SurfaceClass::ThickIce,
+                snow_depth_m: 0.12,
+                snow_sigma_m: 0.04,
+                thickness_m: 1.7,
+                thickness_sigma_m: 0.5,
+            }],
+        }
+        .encode(&mut w);
+        let mut payload = Vec::new();
+        payload.extend_from_slice(b"SIRQ");
+        payload.extend_from_slice(&4u16.to_le_bytes());
+        payload.extend_from_slice(&w.finish());
+        let buf = encode_frame(&payload, 0, 0).unwrap();
+        assert!(matches!(
+            read_msg::<Request>(&buf),
+            Err(CatalogError::Artifact(ArtifactError::Invalid(
+                "request kind"
+            )))
+        ));
         // Truncated request body inside a well-formed frame.
-        let buf = encode_frame(b"SIRQ\x03\x00", 0, 0).unwrap();
+        let buf = encode_frame(b"SIRQ\x04\x00", 0, 0).unwrap();
         assert!(read_msg::<Request>(&buf).is_err());
     }
 }

@@ -624,7 +624,9 @@ fn thickness_ingest_idempotent_and_compaction_preserves_aggregates() {
         21.0,
         12.0,
     );
-    let report = src.ingest_thickness_beam(&enriched).unwrap();
+    let report = src
+        .ingest_thickness_beam_with(&enriched, IngestMode::Skip)
+        .unwrap();
     assert!(report.n_samples > 0);
     let stats = src.stats().unwrap();
     assert!(stats.n_thickness > 0, "bearing samples are counted");
@@ -638,7 +640,9 @@ fn thickness_ingest_idempotent_and_compaction_preserves_aggregates() {
     // Skip re-ingest of the enriched beam: byte-stable no-op.
     let before = dir_bytes(&src_dir);
     let battery_src = battery(&src);
-    let again = src.ingest_thickness_beam(&enriched).unwrap();
+    let again = src
+        .ingest_thickness_beam_with(&enriched, IngestMode::Skip)
+        .unwrap();
     assert_eq!(again.n_samples, 0);
     assert_eq!(again.n_skipped, 300);
     assert_eq!(dir_bytes(&src_dir), before);

@@ -19,8 +19,8 @@ use icesat_scene::SurfaceClass;
 use seaice::freeboard::{FreeboardPoint, FreeboardProduct};
 use seaice_catalog::client::{partition_product, partition_thickness};
 use seaice_catalog::{
-    Catalog, CatalogClient, CatalogServer, GridConfig, MapRect, QuerySummary, ShardRouter,
-    ShardSpec, TileScope, TimeKey, TimeRange,
+    Catalog, CatalogClient, CatalogServer, GridConfig, IngestMode, MapRect, QuerySummary,
+    ShardRouter, ShardSpec, TileScope, TimeKey, TimeRange,
 };
 
 fn grid() -> GridConfig {
@@ -315,7 +315,9 @@ fn served_and_sharded_queries_are_bit_identical_to_local() {
     let local = Arc::new(Catalog::create(&local_dir, grid()).unwrap());
     ingest(&local, &batch);
     for beam in &thickness {
-        local.ingest_thickness_beam(beam).unwrap();
+        local
+            .ingest_thickness_beam_with(beam, IngestMode::Skip)
+            .unwrap();
     }
     assert!(local.stats().unwrap().n_thickness > 0);
     let parts = partition(&batch);
@@ -332,7 +334,9 @@ fn served_and_sharded_queries_are_bit_identical_to_local() {
         let split = partition_thickness(&grid(), &scopes, beam);
         for (catalog, part) in shard_catalogs.iter().zip(split) {
             if !part.points.is_empty() {
-                catalog.ingest_thickness_beam(&part).unwrap();
+                catalog
+                    .ingest_thickness_beam_with(&part, IngestMode::Skip)
+                    .unwrap();
             }
         }
     }

@@ -5,7 +5,7 @@
 //! cargo run --release --example catalog_queries
 //! ```
 
-use icesat2_seaice::catalog::{Catalog, CatalogSink, GridConfig, TimeRange};
+use icesat2_seaice::catalog::{Catalog, GridConfig, IngestMode, TimeRange};
 use icesat2_seaice::geo::EPSG_3976;
 use icesat2_seaice::seaice::fleet::FleetDriver;
 use icesat2_seaice::seaice::pipeline::{Pipeline, PipelineConfig};
@@ -27,9 +27,10 @@ fn main() {
     let driver = FleetDriver::new(Cluster::new(2, 2), &pipeline.cfg);
     let grid = GridConfig::around(pipeline.cfg.scene.center, 2.0 * pipeline.cfg.track_length_m);
     let catalog = Catalog::create(&cat_dir, grid).expect("create catalog");
-    let (ingest, report) = driver
-        .classify_into_catalog(&sources, &run.models, &catalog)
-        .expect("classify into catalog");
+    let (products, report) = driver.classify_run(&sources, &run.models);
+    let ingest = catalog
+        .ingest_products_with(&products, IngestMode::Skip)
+        .expect("ingest into catalog");
     println!(
         "  ingested {} samples ({} out of domain) — fleet reduce {:.2}s",
         ingest.n_samples, ingest.n_out_of_domain, report.times.reduce_s

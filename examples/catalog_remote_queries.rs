@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use icesat2_seaice::catalog::client::partition_products;
 use icesat2_seaice::catalog::{
-    Catalog, CatalogClient, CatalogOptions, CatalogServer, GridConfig, LeaseOptions, ShardRouter,
-    ShardSpec, TileScope, TimeRange,
+    Catalog, CatalogClient, CatalogOptions, CatalogServer, GridConfig, IngestMode, LeaseOptions,
+    ShardRouter, ShardSpec, TileScope, TimeRange,
 };
 use icesat2_seaice::geo::EPSG_3976;
 use icesat2_seaice::seaice::fleet::FleetDriver;
@@ -44,7 +44,9 @@ fn main() {
     println!("classifying the fleet into one local catalog + two shards...");
     let (products, _) = driver.classify_run(&sources, &run.models);
     let local = Catalog::create(&local_dir, grid).expect("local catalog");
-    let ingest = local.ingest_products(&products).expect("local ingest");
+    let ingest = local
+        .ingest_products_with(&products, IngestMode::Skip)
+        .expect("local ingest");
     println!("  local store: {} samples", ingest.n_samples);
 
     // Shard the same products by quadkey prefix: southern tiles ("0"/"1")

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use icesat2_seaice::catalog::{Catalog, CatalogSink, GridConfig, IngestMode, TimeRange};
+use icesat2_seaice::catalog::{Catalog, GridConfig, IngestMode, TimeRange};
 use icesat2_seaice::geo::EPSG_3976;
 use icesat2_seaice::seaice::fleet::FleetDriver;
 use icesat2_seaice::seaice::pipeline::{Pipeline, PipelineConfig};
@@ -44,8 +44,9 @@ fn fleet_products_land_in_catalog_and_queries_agree() {
     let grid = GridConfig::around(pipeline.cfg.scene.center, 2.0 * pipeline.cfg.track_length_m);
     let catalog = Catalog::create(&cat_dir, grid).unwrap();
 
-    let (ingest, report) = driver
-        .classify_into_catalog(&sources, &run.models, &catalog)
+    let (classified, report) = driver.classify_run(&sources, &run.models);
+    let ingest = catalog
+        .ingest_products_with(&classified, IngestMode::Skip)
         .unwrap();
     assert!(report.times.reduce_s >= 0.0);
     assert!(ingest.n_samples > 5_000, "ingested {}", ingest.n_samples);
@@ -64,8 +65,9 @@ fn fleet_products_land_in_catalog_and_queries_agree() {
     // leaves every tile file untouched.
     let before = store_bytes(&cat_dir);
     let stats_before = catalog.stats().unwrap();
-    let (reingest, _) = driver
-        .classify_into_catalog(&sources, &run.models, &catalog)
+    let (rerun, _) = driver.classify_run(&sources, &run.models);
+    let reingest = catalog
+        .ingest_products_with(&rerun, IngestMode::Skip)
         .unwrap();
     assert_eq!(reingest.n_samples, 0, "a re-run must not write samples");
     assert_eq!(reingest.n_skipped, product_points);
@@ -91,7 +93,9 @@ fn fleet_products_land_in_catalog_and_queries_agree() {
     let fresh_dir = std::env::temp_dir().join("integration_catalog_fresh");
     let _ = std::fs::remove_dir_all(&fresh_dir);
     let fresh = Catalog::create(&fresh_dir, grid).unwrap();
-    fresh.ingest_products(&perturbed).unwrap();
+    fresh
+        .ingest_products_with(&perturbed, IngestMode::Skip)
+        .unwrap();
     let battery = |c: &Catalog| {
         let domain = c.grid().domain();
         let whole = c.query_rect(&domain, TimeRange::all()).unwrap();
